@@ -156,12 +156,9 @@ def ks_exact_cdf(d: float, m: int) -> float:
     inv_fact[0] = 1.0
     for i in range(1, size + 2):
         inv_fact[i] = inv_fact[i - 1] / i
-    tri = np.zeros((size, size))
-    for i in range(size):
-        for j in range(size):
-            p = i - j + 1
-            if p >= 0:
-                tri[i, j] = inv_fact[p]
+    i = np.arange(size)
+    p = i[:, None] - i[None, :] + 1
+    tri = np.where(p >= 0, inv_fact[np.maximum(p, 0)], 0.0)
     for i in range(size):
         tri[i, 0] -= h ** (i + 1) * inv_fact[i + 1]
         tri[size - 1, i] -= h ** (size - i) * inv_fact[size - i]
@@ -207,12 +204,30 @@ class NullSummary(NamedTuple):
     critical_d: float
 
 
+def _massart_d(m: int, prob: float) -> float:
+    """The d at which Massart's bound P(D_m > d) <= 2 exp(-2 m d^2) equals
+    prob (Massart, Ann. Probab. 18, 1990): the survival is below prob
+    beyond it."""
+    return math.sqrt(math.log(2.0 / prob) / (2.0 * m))
+
+
+# survival below this is dropped from the moment integrals: it is far under
+# the rounding of 1 - P(D_m <= d)
+_SURVIVAL_CUT = 1e-18
+
+
 def ks_null_summary(m: int, alpha: float = 0.05) -> NullSummary:
     """Mean and sd of D_m and the level-alpha critical value.
 
     E D = int survival, E D^2 = int 2 d survival, both by composite Simpson
     on [0, min(1, 6/sqrt(m))] where the survival has fully decayed; the
     critical value solves P(D_m > d) = alpha by bisection to 1e-7.
+
+    Massart's bound P(D_m > d) <= 2 exp(-2 m d^2) (Ann. Probab. 1990) keeps
+    the exact CDF away from large d, where the Durbin matrix order 2 m d
+    makes it costly: Simpson nodes where the bound is below 1e-18 take
+    survival 0 without evaluation, and the bisection bracket starts at the
+    d where the bound equals alpha, which lies above the critical value.
     """
     if m < 2:
         raise DomainError("null summary needs m >= 2")
@@ -221,7 +236,8 @@ def ks_null_summary(m: int, alpha: float = 0.05) -> NullSummary:
     b = min(1.0, 6.0 / math.sqrt(m))
     n_pan = 120
     xs = np.linspace(0.0, b, n_pan + 1)
-    sv = np.array([1.0 - ks_exact_cdf(x, m) for x in xs])
+    cut = _massart_d(m, _SURVIVAL_CUT)
+    sv = np.array([1.0 - ks_exact_cdf(x, m) if x < cut else 0.0 for x in xs])
     w = np.ones(n_pan + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -230,7 +246,7 @@ def ks_null_summary(m: int, alpha: float = 0.05) -> NullSummary:
     ed2 = h / 3.0 * float(w @ (2.0 * xs * sv))
     sd = math.sqrt(max(ed2 - mean * mean, 0.0))
     target = 1.0 - alpha
-    lo, hi = 0.5 / m, min(1.0, 12.0 / math.sqrt(m))
+    lo, hi = 0.5 / m, min(1.0, _massart_d(m, alpha))
     while hi < 1.0 and ks_exact_cdf(hi, m) < target:
         hi = min(1.0, 2.0 * hi)
     while hi - lo > 1e-7:

@@ -1,9 +1,12 @@
 """Maximum likelihood fitting of the tempered-stable law by Newton iteration.
 
-One field batch per likelihood evaluation supplies the density, its 7
-parameter gradients, and the 28 distinct curvatures on a shared grid; every
-sample point then reads all 36 surfaces through the same interpolation
-weights, so the per-iteration cost is independent of the sample size.
+Each iterate, the starting point included, is read once, on its own grid,
+by a field batch of 36 rows: the density, its 7 parameter gradients, and
+the 28 distinct curvatures. Every sample point reads all 36 surfaces
+through the same interpolation weights, so the per-iteration cost is
+independent of the sample size. Line-search candidates are accepted or
+rejected on the log-likelihood alone, so each costs a batch of the density
+row only.
 
 The likelihood surface is not concave far from the optimum: the Hessian
 picks up positive eigenvalues along the beta directions and a raw Newton
@@ -198,10 +201,13 @@ def _domain_ok(v: np.ndarray) -> bool:
     )
 
 
+_EVAL_ERRORS = (DomainError, GridError, LikelihoodError, FloatingPointError, OverflowError)
+
+
 def _try_candidate(v: np.ndarray, y: np.ndarray, ctx: _GridContext):
-    """Evaluate a trial point, preferring the pinned grid but regridding to
-    the candidate's own wider grid when its tails need one. Returns
-    (params, (ll, score, hess), context used) or None if unusable."""
+    """Log-likelihood of a trial point from a density-only batch, preferring
+    the pinned grid but regridding to the candidate's own wider grid when its
+    tails need one. Returns (params, ll, context used) or None if unusable."""
     if not _domain_ok(v):
         return None
     try:
@@ -209,16 +215,24 @@ def _try_candidate(v: np.ndarray, y: np.ndarray, ctx: _GridContext):
     except DomainError:
         return None
     try:
-        return p, _evaluate(p, y, 36, ctx), ctx
+        return p, _evaluate(p, y, 1, ctx)[0], ctx
     except GridError:
         pass
-    except (DomainError, LikelihoodError, FloatingPointError, OverflowError):
+    except _EVAL_ERRORS:
         return None
     try:
         own = _grid_context(p, y)
-        return p, _evaluate(p, y, 36, own), own
-    except (DomainError, GridError, LikelihoodError, FloatingPointError, OverflowError):
+        return p, _evaluate(p, y, 1, own)[0], own
+    except _EVAL_ERRORS:
         return None
+
+
+def _read_iterate(p: GtsParams, y: np.ndarray):
+    """(context, (ll, score, hess)) of an iterate from the one 36-row batch
+    it gets, on its own auto-chosen grid, so that a trace row restates what
+    a fresh evaluation at the row's params reports."""
+    ctx = _grid_context(p, y)
+    return ctx, _evaluate(p, y, 36, ctx)
 
 
 def fit(data, opts: FitOptions = FitOptions()):
@@ -227,15 +241,18 @@ def fit(data, opts: FitOptions = FitOptions()):
     Returns (params, trace, converged). Convergence requires both a score
     norm below opts.tol_grad and a Hessian top eigenvalue <= 1e-6; hitting
     max_iter returns converged=False with the full trace, while a state
-    from which no acceptable step exists raises ConvergenceError carrying
-    the trace so far.
+    from which no acceptable step exists, or an accepted iterate whose
+    score and Hessian cannot be read on its own grid, raises
+    ConvergenceError carrying the trace so far.
 
     Candidates within one step search are all evaluated on the current
     iterate's grid, so the compared likelihoods share every quadrature
-    artifact; the grid is re-chosen only after a step is accepted. Without
-    the pinning, a candidate falling across a frequency-span doubling
-    boundary sees an objective jump of about 1e-8 and a monotone search can
-    reject every step length.
+    artifact; only a candidate whose tails that grid cannot hold moves to
+    its own wider grid. Without the pinning, a candidate falling across a
+    frequency-span doubling boundary sees an objective jump of about 1e-8
+    and a monotone search can reject every step length. The accepted
+    iterate is then read afresh on the grid auto_grid picks for it, which
+    becomes the pinned grid of the next search.
 
     Samples whose likelihood keeps rising toward beta -> 0 push the iterate
     against the boundary of grids the size budget can build. There the
@@ -246,14 +263,13 @@ def fit(data, opts: FitOptions = FitOptions()):
     y = _as_data(data)
     if y.size < 50:
         raise DataError("fitting 7 parameters needs at least 50 observations")
+    p = opts.init
     try:
-        ctx = _grid_context(opts.init, y)
-    except GridError as exc:
-        raise LikelihoodError(f"initial point has no usable grid: {exc}") from exc
-    got = _try_candidate(opts.init.to_vector(), y, ctx)
-    if got is None:
-        raise LikelihoodError("likelihood is not evaluable at the initial point")
-    p, (ll, sc, hess), ctx = got
+        ctx, (ll, sc, hess) = _read_iterate(p, y)
+    except _EVAL_ERRORS as exc:
+        raise LikelihoodError(
+            f"likelihood is not evaluable at the initial point: {exc}"
+        ) from exc
     rows = []
     crawl = 0
     for it in range(1, opts.max_iter + 1):
@@ -265,24 +281,17 @@ def fit(data, opts: FitOptions = FitOptions()):
         if crawl >= _CRAWL_RUNS:
             return p, FitTrace(tuple(rows)), False
         if opts.step_policy == "raw-newton":
-            nxt = _raw_step(p, sc, hess, y, ctx, rows)
+            p, lam = _raw_step(p, sc, hess, y, ctx, rows)
         else:
-            nxt = _safeguarded_step(p, ll, sc, hess, gn, me, y, ctx, rows)
-        p, (ll, sc, hess), ctx, lam = nxt
+            p, lam = _safeguarded_step(p, ll, sc, hess, gn, me, y, ctx, rows)
         crawl = crawl + 1 if lam <= _CRAWL_LAM else 0
-        new_ctx = _grid_context(p, y)
-        if new_ctx.grid != ctx.grid:
-            # trace rows must match what a fresh evaluation at the row's
-            # params reports, so accepted iterates are re-read on their own
-            # auto-chosen grid whenever the search used a different one
-            ctx = new_ctx
-            try:
-                ll, sc, hess = _evaluate(p, y, 36, ctx)
-            except (GridError, LikelihoodError) as exc:
-                raise ConvergenceError(
-                    f"accepted iterate unusable on its own grid: {exc}",
-                    trace=FitTrace(tuple(rows)),
-                ) from exc
+        try:
+            ctx, (ll, sc, hess) = _read_iterate(p, y)
+        except _EVAL_ERRORS as exc:
+            raise ConvergenceError(
+                f"accepted iterate unusable on its own grid: {exc}",
+                trace=FitTrace(tuple(rows)),
+            ) from exc
     return p, FitTrace(tuple(rows)), False
 
 
@@ -290,15 +299,15 @@ def _line_search(v, step, y, ctx, ll, monotone):
     """Halve the step length until a usable point appears; with monotone
     acceptance the candidate must not lose more than 1e-9 of log-likelihood
     against the reference re-read on the candidate's grid. Returns
-    (params, evals, context, accepted step fraction) or None."""
+    (params, accepted step fraction) or None."""
     refs = {ctx.grid: ll}
     lam = 1.0
     for _ in range(30):
         got = _try_candidate(v - lam * step, y, ctx)
         if got is not None:
+            p, cand_ll, used = got
             if not monotone:
-                return got + (lam,)
-            used = got[2]
+                return p, lam
             ref = refs.get(used.grid)
             if ref is None:
                 try:
@@ -306,8 +315,8 @@ def _line_search(v, step, y, ctx, ll, monotone):
                 except (GridError, LikelihoodError):
                     ref = ll
                 refs[used.grid] = ref
-            if got[1][0] >= ref - 1e-9:
-                return got + (lam,)
+            if cand_ll >= ref - 1e-9:
+                return p, lam
         lam *= 0.5
     return None
 

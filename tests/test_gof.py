@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from gtsfit import gof
 from gtsfit.errors import DataError, DomainError
 from gtsfit.gof import (
     KS_MAX_M,
@@ -137,6 +138,25 @@ class TestNullSummary:
         assert ns.mean == pytest.approx(ref.mean(), abs=1e-6)
         assert ns.sd == pytest.approx(ref.std(), abs=1e-6)
         assert ns.critical_d == pytest.approx(ref.ppf(0.95), abs=1e-6)
+
+    def test_paper_size_stays_below_massart_cut(self, monkeypatch):
+        """At m = 3048 no exact-CDF read goes past d = 0.0832, where
+        Massart's bound puts the survival below 1e-18, which caps the
+        Durbin matrix order at 507; the summary still matches kstwo."""
+        seen = []
+        real = gof.ks_exact_cdf
+
+        def recorded(d, m):
+            seen.append(d)
+            return real(d, m)
+
+        monkeypatch.setattr(gof, "ks_exact_cdf", recorded)
+        ns = ks_null_summary(3048)
+        assert max(seen) < 0.0832
+        ref = scipy.stats.kstwo(3048)
+        assert ns.mean == pytest.approx(ref.mean(), abs=1e-7)
+        assert ns.sd == pytest.approx(ref.std(), abs=1e-7)
+        assert ns.critical_d == pytest.approx(ref.isf(0.05), abs=1e-7)
 
     def test_critical_value_hits_alpha(self):
         ns = ks_null_summary(200, alpha=0.1)

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from gtsfit.errors import ConvergenceError, DataError, DomainError
+from gtsfit import mle
+from gtsfit.errors import ConvergenceError, DataError, DomainError, GridError, LikelihoodError
 from gtsfit.mle import (
     DEFAULT_INIT,
+    STEP_POLICIES,
     FitOptions,
     FitTrace,
     TraceRow,
@@ -103,14 +105,61 @@ class TestFit:
         p, trace, _ = fit(spy_sample_600, opts)
         row = trace.rows[-1]
         assert row.params == p
-        ll = log_likelihood(row.params, spy_sample_600)
         gn = float(np.linalg.norm(score(row.params, spy_sample_600)))
-        assert row.log_ml == pytest.approx(ll, rel=1e-10, abs=1e-6)
         assert row.grad_norm == pytest.approx(gn, rel=1e-6, abs=1e-6)
-        mid = trace.rows[len(trace.rows) // 2]
-        assert mid.log_ml == pytest.approx(
-            log_likelihood(mid.params, spy_sample_600), rel=1e-10, abs=1e-6
-        )
+        for r in trace.rows:
+            assert r.log_ml == pytest.approx(
+                log_likelihood(r.params, spy_sample_600), rel=1e-10
+            )
+
+    @pytest.mark.parametrize("policy", STEP_POLICIES)
+    def test_full_batch_only_per_trace_row(
+        self, monkeypatch, spy_params, spy_sample_600, policy
+    ):
+        """Line-search candidates are judged on the density row alone; the
+        36-row batch is spent once per iterate, on the row's own grid."""
+        levels = []
+        real = mle._field_batch
+
+        def counted(p, grid, level):
+            levels.append(level)
+            return real(p, grid, level)
+
+        monkeypatch.setattr(mle, "_field_batch", counted)
+        opts = FitOptions(init=spy_params, tol_grad=1e-6, step_policy=policy)
+        _, trace, converged = fit(spy_sample_600, opts)
+        assert converged
+        assert levels.count(36) == len(trace.rows)
+        assert levels.count(1) == len(levels) - len(trace.rows) > 0
+
+    def test_unreadable_iterate_raises_with_trace(
+        self, monkeypatch, spy_params, spy_sample_600
+    ):
+        """A failed 36-row read is a LikelihoodError at the initial point and
+        a ConvergenceError carrying the trace after an accepted step."""
+        real = mle._field_batch
+
+        def full_reads_fail_after(n):
+            done = []
+
+            def batch(p, grid, level):
+                if level == 36:
+                    if len(done) == n:
+                        raise GridError("injected")
+                    done.append(p)
+                return real(p, grid, level)
+
+            return batch
+
+        opts = FitOptions(init=spy_params)
+        monkeypatch.setattr(mle, "_field_batch", full_reads_fail_after(0))
+        with pytest.raises(LikelihoodError):
+            fit(spy_sample_600, opts)
+        monkeypatch.setattr(mle, "_field_batch", full_reads_fail_after(1))
+        with pytest.raises(ConvergenceError, match="own grid") as info:
+            fit(spy_sample_600, opts)
+        assert isinstance(info.value.__cause__, GridError)
+        assert len(info.value.trace.rows) == 1
 
     def test_refit_from_optimum_is_immediate(self, spy_params, spy_sample_600):
         opts = FitOptions(init=spy_params, tol_grad=1e-6)
