@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 input or validation problem, 3 the optimizer did
 not converge (the trace is still written), 4 numerical failure (grid,
 likelihood, or linear algebra). Output files with relative paths land in
-$GTSFIT_OUTDIR when that is set. A JSON file passed as --config supplies
-per-flag defaults; explicit flags win.
+$GTSFIT_OUTDIR when that is set. A JSON object file passed as --config,
+before the subcommand, supplies per-flag defaults; explicit flags win.
 
 Params JSON schema (schema_version 1):
   {"schema_version": 1, "model": "gts", "mu": ..., "beta_plus": ...,
@@ -279,6 +279,8 @@ def cmd_plot(args) -> int:
     p = params_from_json(args.params)
     if not isinstance(p, GtsParams):
         raise DataError("plot needs a gts params file via --params")
+    if args.bins < 1:
+        raise DataError(f"--bins must be at least 1, got {args.bins}")
     gbm = params_from_json(args.gbm) if args.gbm else mle.fit_gbm(y)
     edges = np.linspace(y.min(), y.max(), args.bins + 1)
     counts, _ = np.histogram(y, bins=edges)
@@ -334,7 +336,8 @@ def cmd_recenter(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(config=None) -> argparse.ArgumentParser:
+    """The gtsfit parser; `config` (a dict) becomes every subcommand's defaults."""
     ap = argparse.ArgumentParser(
         prog="gtsfit",
         description="Tempered-stable return-distribution fitting and testing",
@@ -398,25 +401,32 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="reporting units per model unit for the target")
     s.add_argument("--out")
     s.set_defaults(func=cmd_recenter)
+
+    for s in sub.choices.values():
+        s.set_defaults(**(config or {}))
     return ap
 
 
-def main(argv=None) -> int:
-    ap = _build_parser()
-    args_in = list(sys.argv[1:] if argv is None else argv)
-    if "--config" in args_in:
-        cfg_path = args_in[args_in.index("--config") + 1]
-        try:
-            with open(cfg_path, encoding="utf-8") as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"bad config: {exc}", file=sys.stderr)
-            return 2
-        for action in ap._subparsers._group_actions:
-            for sp in getattr(action, "choices", {}).values():
-                sp.set_defaults(**cfg)
+def _read_config(pre: argparse.ArgumentParser, path: str) -> dict:
+    """The --config file's flag defaults; an unusable file exits 2 via pre."""
     try:
-        args = ap.parse_args(args_in)
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        pre.error(f"bad config: {exc}")
+    if not isinstance(cfg, dict):
+        pre.error(f"bad config: {path} must hold a JSON object")
+    return cfg
+
+
+def main(argv=None) -> int:
+    args_in = list(sys.argv[1:] if argv is None else argv)
+    pre = argparse.ArgumentParser(prog="gtsfit", add_help=False)
+    pre.add_argument("--config")
+    try:
+        cfg_path = pre.parse_known_args(args_in)[0].config
+        cfg = None if cfg_path is None else _read_config(pre, cfg_path)
+        args = _build_parser(cfg).parse_args(args_in)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -156,24 +156,23 @@ def _check_tail(p: GtsParams, grid: GridSpec) -> None:
 
 TAIL_TOL_LADDER = (PHI_TAIL_TOL, 1e-11, 1e-10)
 
+# auto_grid: fraction of the x range padded on each side, and the range of n
+GRID_PAD = 0.25
+GRID_N_MIN = 8192
+GRID_N_MAX = 1 << 18
 
-def auto_grid(
-    p: GtsParams,
-    x_lo: float,
-    x_hi: float,
-    n_min: int = 8192,
-    pad: float = 0.25,
-    n_max: int = 1 << 18,
-) -> GridSpec:
-    """Pick a grid for [x_lo, x_hi]: pad the range 25% each side, double the
-    frequency span until the characteristic function has decayed below
-    PHI_TAIL_TOL, then size n so the fastest integrand oscillation is
-    sampled at least four times per period (a n <= 1/2).
+
+def auto_grid(p: GtsParams, x_lo: float, x_hi: float) -> GridSpec:
+    """Pick a grid for [x_lo, x_hi]: pad the range by GRID_PAD each side,
+    double the frequency span until the characteristic function has decayed
+    below PHI_TAIL_TOL, then size n (at least GRID_N_MIN) so the fastest
+    integrand oscillation is sampled at least four times per period
+    (a n <= 1/2).
 
     Near beta = 0 the characteristic function decays too slowly for the
-    strict truncation level within the n_max budget (the required span grows
-    like tol^(-1/beta)); rather than fail there, the truncation target is
-    relaxed one decade at a time and the achieved level is recorded on the
+    strict truncation level within the GRID_N_MAX budget (the required span
+    grows like tol^(-1/beta)); rather than fail there, the truncation target
+    is relaxed one decade at a time and the achieved level is recorded on the
     returned GridSpec. The ladder stops at 1e-10: looser truncation leaves
     enough bias in the far density tail to manufacture spurious likelihood
     ascent toward heavy-tailed parameters."""
@@ -181,7 +180,7 @@ def auto_grid(
         raise DomainError("auto_grid needs x_hi > x_lo")
     width = x_hi - x_lo
     x_center = 0.5 * (x_lo + x_hi)
-    span = 0.5 * width + pad * width
+    span = 0.5 * width + GRID_PAD * width
     for tol in TAIL_TOL_LADDER:
         xi_max = 64.0
         while abs(characteristic_function(p, xi_max)) > tol:
@@ -190,17 +189,17 @@ def auto_grid(
                 break
         if xi_max > 2**22:
             continue
-        n = n_min
+        n = GRID_N_MIN
         while n < 4.0 * span * xi_max / math.pi:
             n *= 2
-        if n > n_max:
+        if n > GRID_N_MAX:
             continue
         return GridSpec(
             n=n, x_center=x_center, dx=2.0 * span / n, d_xi=2.0 * xi_max / n, tail_tol=tol
         )
     raise GridError(
         "no admissible grid: the characteristic function decays too slowly "
-        f"for the size bound n <= {n_max}"
+        f"for the size bound n <= {GRID_N_MAX}"
     )
 
 

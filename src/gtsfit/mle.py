@@ -157,36 +157,14 @@ def hessian(p: GtsParams, data) -> np.ndarray:
 
 
 def max_eigenvalue(h) -> float:
-    """Largest eigenvalue of a symmetric matrix by cyclic Jacobi sweeps."""
+    """Largest eigenvalue of a symmetric matrix, by LAPACK (np.linalg.eigvalsh)."""
     a = np.array(h, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError("max_eigenvalue needs a square matrix")
     scale = max(1.0, float(np.abs(a).max()))
     if float(np.abs(a - a.T).max()) > 1e-12 * scale:
         raise DomainError("matrix is not symmetric")
-    a = 0.5 * (a + a.T)
-    n = a.shape[0]
-    for _sweep in range(60):
-        off = math.sqrt(float(np.sum(np.tril(a, -1) ** 2)))
-        if off <= 1e-15 * scale:
-            break
-        for p_ in range(n - 1):
-            for q in range(p_ + 1, n):
-                apq = a[p_, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                theta = (a[q, q] - a[p_, p_]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.hypot(theta, 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(n)
-                rot[p_, p_] = rot[q, q] = c
-                rot[p_, q] = s
-                rot[q, p_] = -s
-                a = rot.T @ a @ rot
-    return float(np.max(np.diag(a)))
+    return float(np.linalg.eigvalsh(0.5 * (a + a.T))[-1])
 
 
 def _domain_ok(v: np.ndarray) -> bool:

@@ -332,16 +332,3 @@ def scale_time(p: GtsParams, t: float) -> GtsParams:
         p.lambda_plus,
         p.lambda_minus,
     )
-
-
-def vg_exponent(mu: float, alpha: float, lambda_plus: float, lambda_minus: float, xi):
-    """Characteristic exponent of the variance-gamma law, the beta+ = beta- = 0,
-    alpha+ = alpha- = alpha reduction of the bilateral tempered stable family."""
-    if alpha <= 0.0 or lambda_plus <= 0.0 or lambda_minus <= 0.0:
-        raise DomainError("vg_exponent needs alpha > 0 and lambdas > 0")
-    arr, scalar = _as_xi_array(xi)
-    prod = lambda_plus * lambda_minus
-    val = 1j * mu * arr - alpha * np.log(
-        1.0 - 1j * (lambda_minus - lambda_plus) * arr / prod + arr * arr / prod
-    )
-    return complex(val[0]) if scalar else val

@@ -1,10 +1,11 @@
-"""Scalar special functions on the real line plus the principal complex power.
+"""Scalar special functions on the real line: gamma, digamma and trigamma.
 
 Gamma is a Lanczos approximation (g = 7, 9 coefficients) with reflection
 for the negative half-line; digamma and trigamma shift the argument above
-6 by recurrence and finish with the Stirling-type asymptotic series.
-Accuracy targets: 1e-12 relative for gamma and 1e-10 for digamma/trigamma
-on |x| <= 30, which covers every argument the fitter can produce.
+6 by recurrence and finish with six terms of the Stirling-type asymptotic
+series. Accuracy targets: 1e-12 relative for gamma and 1e-10 for
+digamma/trigamma on |x| <= 30, which covers every argument the fitter can
+produce.
 
 Poles (non-positive integers) raise PoleError instead of returning inf:
 callers treat a pole as a signal to reroute, never as a value.
@@ -13,8 +14,6 @@ callers treat a pole as a signal to reroute, never as a value.
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .errors import DomainError, PoleError
 
@@ -41,7 +40,6 @@ _DIGAMMA_TAIL = (
     -1.0 / 240.0,
     1.0 / 132.0,
     -691.0 / 32760.0,
-    1.0 / 12.0,
 )
 # trigamma(x) ~ 1/x + 1/(2x^2) + sum B_2n / x^{2n+1}
 _TRIGAMMA_TAIL = (
@@ -51,7 +49,6 @@ _TRIGAMMA_TAIL = (
     -1.0 / 30.0,
     5.0 / 66.0,
     -691.0 / 2730.0,
-    7.0 / 6.0,
 )
 
 
@@ -100,7 +97,7 @@ def digamma(x: float) -> float:
     inv2 = 1.0 / (x * x)
     tail = 0.0
     p = inv2
-    for c in _DIGAMMA_TAIL[:6]:
+    for c in _DIGAMMA_TAIL:
         tail += c * p
         p *= inv2
     return acc + math.log(x) - 0.5 / x - tail
@@ -119,21 +116,7 @@ def trigamma(x: float) -> float:
     inv2 = inv * inv
     tail = 0.0
     p = inv * inv2
-    for c in _TRIGAMMA_TAIL[:6]:
+    for c in _TRIGAMMA_TAIL:
         tail += c * p
         p *= inv2
     return acc + inv + 0.5 * inv2 + tail
-
-
-def complex_power(z, beta: float):
-    """Principal-branch z**beta, requiring Re z > 0 so the branch cut is never
-    approached. Accepts scalars or numpy arrays; conjugate symmetric:
-    complex_power(conj z, beta) == conj(complex_power(z, beta)).
-    """
-    zz = np.asarray(z, dtype=complex)
-    if not np.all(np.real(zz) > 0.0):
-        raise DomainError("complex_power requires Re z > 0")
-    out = np.exp(beta * np.log(zz))
-    if np.isscalar(z) or getattr(z, "ndim", 0) == 0:
-        return complex(out)
-    return out

@@ -282,6 +282,20 @@ class TestPlot:
         assert svg.startswith("<svg")
         assert svg.count("<polyline") == 3
 
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    def test_bins_below_one_exits_2(
+        self, tmp_path, spy_json, gbm_json, spy_sample_600, bins
+    ):
+        r = write_returns(tmp_path / "r.csv", spy_sample_600[:200])
+        argv = [
+            "plot", str(r), "--params", spy_json, "--gbm", gbm_json,
+            "--bins", bins,
+            "--out-csv", str(tmp_path / "plot.csv"),
+            "--out-svg", str(tmp_path / "plot.svg"),
+        ]
+        assert cli.main(argv) == 2
+        assert not (tmp_path / "plot.csv").exists()
+
 
 class TestConfigAndParsing:
     def test_config_supplies_defaults(self, tmp_path, monkeypatch):
@@ -297,6 +311,28 @@ class TestConfigAndParsing:
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
+        assert cli.main(["--config", str(cfg), "summarize", "x.csv"]) == 2
+
+    def test_config_without_value_exits_2(self):
+        assert cli.main(["--config"]) == 2
+
+    @pytest.mark.parametrize(
+        "spelling", [["--config={}"], ["--conf", "{}"]], ids=["equals", "prefix"]
+    )
+    def test_config_spellings_supply_defaults(self, tmp_path, monkeypatch, spelling):
+        monkeypatch.chdir(tmp_path)
+        p = tmp_path / "prices.csv"
+        p.write_text(PRICES)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": "from_config.json"}))
+        rc = cli.main([a.format(cfg) for a in spelling] + ["summarize", str(p)])
+        assert rc == 0
+        assert json.loads((tmp_path / "from_config.json").read_text())["m"] == 3
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", "null", '"out"'])
+    def test_config_not_an_object_exits_2(self, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
         assert cli.main(["--config", str(cfg), "summarize", "x.csv"]) == 2
 
     def test_unknown_subcommand_exits_2(self):

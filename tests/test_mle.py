@@ -71,11 +71,10 @@ class TestEvaluation:
 
 class TestMaxEigenvalue:
     def test_matches_lapack(self, rng):
-        a = rng.normal(size=(7, 7))
-        s = 0.5 * (a + a.T)
-        assert max_eigenvalue(s) == pytest.approx(
-            float(np.linalg.eigvalsh(s)[-1]), rel=1e-10, abs=1e-10
-        )
+        """A known spectrum with a repeated top value, in a random basis."""
+        q, _ = np.linalg.qr(rng.normal(size=(7, 7)))
+        d = np.array([-40.0, -3.5, -0.2, 0.7, 2.5, 9.0, 9.0])
+        assert max_eigenvalue(q @ np.diag(d) @ q.T) == pytest.approx(9.0, rel=1e-12)
 
     def test_diagonal_case(self):
         assert max_eigenvalue(np.diag([3.0, -1.0, 2.0])) == pytest.approx(3.0, rel=1e-12)

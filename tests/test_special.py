@@ -7,13 +7,12 @@ zero, where the tempering exponents actually live.
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtsfit.errors import DomainError, PoleError
-from gtsfit.special import complex_power, digamma, gamma_real, trigamma
+from gtsfit.special import digamma, gamma_real, trigamma
 
 GAMMA_POINTS = [
     (0.5, 1.772453850905516),
@@ -57,12 +56,6 @@ def test_trigamma_reference(x, expected):
     assert trigamma(x) == pytest.approx(expected, rel=5e-11)
 
 
-def test_complex_power_reference():
-    got = complex_power(1.2665066 - 1.0j, 0.5174702)
-    assert got.real == pytest.approx(1.205130109113608, rel=1e-13)
-    assert got.imag == pytest.approx(-0.43424994630260499, rel=1e-13)
-
-
 @pytest.mark.parametrize("fn", [gamma_real, digamma, trigamma])
 @pytest.mark.parametrize("x", [0.0, -1.0, -2.0, -17.0])
 def test_poles_rejected(fn, x):
@@ -103,22 +96,3 @@ def test_trigamma_recurrence(x):
     if abs(x - round(x)) < 1e-3:
         return
     assert trigamma(x + 1.0) == pytest.approx(trigamma(x) - 1.0 / (x * x), rel=1e-9, abs=1e-10)
-
-
-@given(
-    st.floats(min_value=0.1, max_value=4.0),
-    st.floats(min_value=-3.0, max_value=3.0),
-    st.floats(min_value=-0.9, max_value=0.9),
-)
-@settings(max_examples=60)
-def test_complex_power_modulus(re, im, beta):
-    z = complex(re, im)
-    got = complex_power(z, beta)
-    assert abs(got) == pytest.approx(abs(z) ** beta, rel=1e-12)
-
-
-def test_complex_power_vectorized():
-    z = np.array([1.0 + 1.0j, 2.0 - 0.5j, 0.3 + 0.0j])
-    got = complex_power(z, 0.37)
-    for zi, gi in zip(z, got):
-        assert gi == pytest.approx(complex_power(complex(zi), 0.37), rel=1e-14)
