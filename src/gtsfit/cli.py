@@ -337,7 +337,8 @@ def cmd_recenter(args) -> int:
 
 
 def _build_parser(config=None) -> argparse.ArgumentParser:
-    """The gtsfit parser; `config` (a dict) becomes every subcommand's defaults."""
+    """The gtsfit parser; `config` (a dict) becomes every subcommand's defaults.
+    A config key that is not the dest of some subcommand flag exits 2."""
     ap = argparse.ArgumentParser(
         prog="gtsfit",
         description="Tempered-stable return-distribution fitting and testing",
@@ -402,6 +403,14 @@ def _build_parser(config=None) -> argparse.ArgumentParser:
     s.add_argument("--out")
     s.set_defaults(func=cmd_recenter)
 
+    # a config key must name some subcommand's flag: anything else (a typo,
+    # or an internal dest such as func) would be applied silently
+    flags = {
+        a.dest for s in sub.choices.values() for a in s._actions if a.option_strings
+    } - {"help"}
+    for key in config or {}:
+        if key not in flags:
+            ap.error(f"bad config: {key!r} is not the name of any subcommand flag")
     for s in sub.choices.values():
         s.set_defaults(**(config or {}))
     return ap

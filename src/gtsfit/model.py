@@ -16,7 +16,10 @@ with the understanding that a side with |beta| < BETA_LIMIT switches to its
 beta -> 0 limit, -alpha (Log(lambda -+ i xi) - log lambda), where the
 Gamma(-beta) pole and the power-difference zero cancel. The gradient and
 Hessian of Psi in the parameters are implemented analytically, including
-the series values of the beta-derivatives at the limit point.
+the series values of the beta-derivatives at the limit point. One routine,
+psi_jet, evaluates both from a single pass over each tail; it returns the 7
+gradient rows and only the 10 Hessian entries that are not identically
+zero. grad_psi and hess_psi are dense views built on it.
 """
 
 from __future__ import annotations
@@ -246,49 +249,51 @@ def _side_derivs(alpha, beta, lam, w):
     }
 
 
+def psi_jet(p: GtsParams, xi):
+    """Gradient and Hessian of Psi in the parameters at the nodes xi, from one
+    _side_derivs call per tail.
+
+    Returns (grad, hess): grad is the (7, n) complex dPsi/dV, V ordered as
+    PARAM_NAMES; hess maps each of the 10 nonzero upper-triangle pairs
+    (r, s), r <= s, to its (n,) row of d2Psi/dVrdVs. Every other entry is
+    zero: the mu row and column, the cross-tail blocks, and alpha-alpha
+    (Psi is linear in alpha)."""
+    arr = np.atleast_1d(np.asarray(xi, dtype=float))
+    grad = np.empty((7, arr.size), dtype=complex)
+    grad[0] = 1j * arr
+    hess = {}
+    tails = (
+        (p.alpha_plus, p.beta_plus, p.lambda_plus, p.lambda_plus - 1j * arr),
+        (p.alpha_minus, p.beta_minus, p.lambda_minus, p.lambda_minus + 1j * arr),
+    )
+    for side, (alpha, beta, lam, w) in enumerate(tails):
+        d = _side_derivs(alpha, beta, lam, w)
+        b, a, l = 1 + side, 3 + side, 5 + side
+        grad[b], grad[a], grad[l] = d["b"], d["a"], d["l"]
+        hess[b, b] = d["bb"]
+        hess[b, a] = d["ab"]
+        hess[b, l] = d["bl"]
+        hess[a, l] = d["al"]
+        hess[l, l] = d["ll"]
+    return grad, hess
+
+
 def grad_psi(p: GtsParams, xi):
     """dPsi/dV as a (7,) or (7, n) complex array, V ordered as PARAM_NAMES."""
     arr, scalar = _as_xi_array(xi)
-    sp = _side_derivs(p.alpha_plus, p.beta_plus, p.lambda_plus, p.lambda_plus - 1j * arr)
-    sm = _side_derivs(
-        p.alpha_minus, p.beta_minus, p.lambda_minus, p.lambda_minus + 1j * arr
-    )
-    g = np.zeros((7, arr.size), dtype=complex)
-    g[0] = 1j * arr
-    g[1] = sp["b"]
-    g[2] = sm["b"]
-    g[3] = sp["a"]
-    g[4] = sm["a"]
-    g[5] = sp["l"]
-    g[6] = sm["l"]
+    g, _ = psi_jet(p, arr)
     return g[:, 0] if scalar else g
 
 
 def hess_psi(p: GtsParams, xi):
-    """d2Psi/dV2 as a (7, 7) or (7, 7, n) complex array; mu row/column zero,
-    cross-tail blocks zero, alpha-alpha entries zero (Psi is linear in alpha)."""
+    """d2Psi/dV2 as a (7, 7) or (7, 7, n) complex array, filled from the
+    nonzero entries psi_jet returns."""
     arr, scalar = _as_xi_array(xi)
-    sp = _side_derivs(p.alpha_plus, p.beta_plus, p.lambda_plus, p.lambda_plus - 1j * arr)
-    sm = _side_derivs(
-        p.alpha_minus, p.beta_minus, p.lambda_minus, p.lambda_minus + 1j * arr
-    )
+    _, entries = psi_jet(p, arr)
     h = np.zeros((7, 7, arr.size), dtype=complex)
-    entries = (
-        (1, 1, sp["bb"]),
-        (1, 3, sp["ab"]),
-        (1, 5, sp["bl"]),
-        (3, 5, sp["al"]),
-        (5, 5, sp["ll"]),
-        (2, 2, sm["bb"]),
-        (2, 4, sm["ab"]),
-        (2, 6, sm["bl"]),
-        (4, 6, sm["al"]),
-        (6, 6, sm["ll"]),
-    )
-    for i, j, v in entries:
+    for (i, j), v in entries.items():
         h[i, j] = v
-        if i != j:
-            h[j, i] = v
+        h[j, i] = v
     return h[:, :, 0] if scalar else h
 
 

@@ -335,6 +335,24 @@ class TestConfigAndParsing:
         cfg.write_text(text)
         assert cli.main(["--config", str(cfg), "summarize", "x.csv"]) == 2
 
+    def test_config_internal_dest_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "prices.csv"
+        p.write_text(PRICES)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"func": "x"}))
+        assert cli.main(["--config", str(cfg), "summarize", str(p)]) == 2
+        assert "'func'" in capsys.readouterr().err
+
+    def test_config_misspelt_flag_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        p = tmp_path / "prices.csv"
+        p.write_text(PRICES)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"outt": "from_config.json"}))
+        assert cli.main(["--config", str(cfg), "summarize", str(p)]) == 2
+        assert "'outt'" in capsys.readouterr().err
+        assert not (tmp_path / "from_config.json").exists()
+
     def test_unknown_subcommand_exits_2(self):
         assert cli.main(["frobnicate"]) == 2
 

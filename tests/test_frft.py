@@ -10,12 +10,14 @@ import math
 import numpy as np
 import pytest
 
-from gtsfit.errors import DomainError, GridError
+from gtsfit.errors import DomainError, GridError, GtsError
 from gtsfit.frft import (
+    HESS_PAIRS,
     PHI_TAIL_TOL,
     TAIL_TOL_LADDER,
     Field,
     GridSpec,
+    _field_batch,
     auto_grid,
     cdf_field,
     density_field,
@@ -24,7 +26,7 @@ from gtsfit.frft import (
     frft,
     interpolate,
 )
-from gtsfit.model import GtsParams
+from gtsfit.model import GtsParams, characteristic_function, cumulant, grad_psi, hess_psi
 
 DENSITY_QUAD = {
     -2.5: 0.019900236877575264,
@@ -104,6 +106,83 @@ class TestGridSpec:
             Field(g, np.zeros(63), "density")
         with pytest.raises(DomainError):
             Field(g, np.zeros(64), "histogram")
+
+    def test_frequency_range_beyond_nyquist_rejected(self):
+        """A real FFT at spacing 2 pi / (4 n dx) ends at pi / dx; a grid
+        truncated above that would lose its top nodes without notice."""
+        with pytest.raises(GtsError, match="exceeds pi / dx"):
+            GridSpec(n=64, x_center=0.0, dx=0.1, d_xi=1.0)
+        GridSpec(n=64, x_center=0.0, dx=0.1, d_xi=0.98)
+
+    def test_auto_grid_stays_below_half_nyquist(self, spy_params):
+        for lo, hi in ((-10.0, 10.0), (-7.4066, 4.842), (-0.1, 0.1)):
+            g = auto_grid(spy_params, lo, hi)
+            assert g.xi_max * g.dx <= 0.5 * math.pi
+
+
+def _half_sum(grid, spectra):
+    """(h / 2 pi) (S_0 + 2 Re sum_{j>=1} S_j e^{-i x_k xi_j}) by a direct
+    matrix product, h = 2 pi / (4 n dx), nodes up to xi_max."""
+    h = 2.0 * math.pi / (4 * grid.n * grid.dx)
+    xi = h * np.arange(spectra.shape[-1])
+    kernel = np.exp(-1j * np.outer(xi, grid.x_nodes()))
+    weights = np.full(xi.size, 2.0)
+    weights[0] = 1.0
+    return h / (2.0 * math.pi) * np.real((spectra * weights) @ kernel)
+
+
+class TestInversionAgainstDirectSum:
+    """The field path (zero-padded real FFT) against the same quadrature
+    summed term by term, on a small grid centred off zero."""
+
+    GRID = GridSpec(n=512, x_center=0.7, dx=0.012, d_xi=1.0)
+
+    def _spectra(self, p):
+        g = self.GRID
+        h = 2.0 * math.pi / (4 * g.n * g.dx)
+        xi = h * np.arange(int(g.xi_max / h) + 1)
+        phi = characteristic_function(p, xi)
+        gp = grad_psi(p, xi)
+        hp = hess_psi(p, xi)
+        rows = [phi] + [phi * gp[r] for r in range(7)]
+        rows += [phi * (hp[r, s] + gp[r] * gp[s]) for r, s in HESS_PAIRS]
+        return xi, np.array(rows)
+
+    @pytest.mark.parametrize("level", [1, 8, 36])
+    def test_field_rows(self, spy_params, level):
+        _, spectra = self._spectra(spy_params)
+        want = _half_sum(self.GRID, spectra[:level])
+        got = _field_batch(spy_params, self.GRID, level)
+        assert got.shape == (level, self.GRID.n)
+        scale = np.max(np.abs(want), axis=1)
+        assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-12 * scale)
+
+    def test_cdf(self, spy_params):
+        g = self.GRID
+        xi, spectra = self._spectra(spy_params)
+        integrand = np.zeros(xi.size, dtype=complex)
+        integrand[1:] = spectra[0, 1:] / (1j * xi[1:])
+        h = xi[1]
+        raw = 0.5 - _half_sum(g, integrand) - h / (2.0 * math.pi) * (
+            cumulant(spy_params, 1) - g.x_nodes()
+        )
+        want = np.maximum.accumulate(raw)
+        assert np.max(np.abs(cdf_field(spy_params, g).values - want)) <= 1e-12
+
+
+def test_heavy_left_tail_does_not_alias():
+    """The density row against a reference with 8x the alias period (32n
+    points). A 2n-point transform, period two windows, lets this left tail
+    wrap onto the right end of the window at 5.3e-12 of the row maximum."""
+    p = GtsParams(-0.50956, 0.57404, 0.33222, 0.64215, 0.41606, 1.22373, 0.75632)
+    g = auto_grid(p, -7.4066, 4.8420)
+    big = 32 * g.n
+    h = 2.0 * math.pi / (big * g.dx)
+    xi = h * np.arange(int(g.xi_max / h) + 1)
+    y = np.conj(characteristic_function(p, xi) * np.exp(-1j * g.x_nodes()[0] * xi))
+    ref = np.fft.irfft(y, n=big)[: g.n] / g.dx
+    got = density_field(p, g).values
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestAutoGrid:

@@ -23,6 +23,7 @@ from gtsfit.model import (
     grad_psi,
     hess_psi,
     levy_density,
+    psi_jet,
     moment_stats,
     scale_time,
     total_levy_mass,
@@ -296,6 +297,19 @@ class TestDerivatives:
         assert np.all(h[0] == 0.0)
         assert h[3, 3] == 0.0 and h[4, 4] == 0.0
         assert h[1, 2] == 0.0 and h[3, 4] == 0.0 and h[5, 6] == 0.0
+
+    def test_jet_holds_every_nonzero_hessian_entry(self, spy_params):
+        xi = np.array([0.0, 0.8, 5.0])
+        grad, entries = psi_jet(spy_params, xi)
+        assert np.array_equal(grad, grad_psi(spy_params, xi))
+        assert len(entries) == 10 and all(r <= s for r, s in entries)
+        h = hess_psi(spy_params, xi)
+        for r in range(7):
+            for s in range(r, 7):
+                if (r, s) in entries:
+                    assert np.array_equal(h[r, s], entries[r, s])
+                else:
+                    assert np.all(h[r, s] == 0.0)
 
     @given(fd_param_sets, st.floats(0.1, 10.0))
     @settings(max_examples=30, deadline=None)
