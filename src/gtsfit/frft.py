@@ -56,8 +56,10 @@ _FIELD_KINDS = ("density", "cdf", "gradient", "curvature")
 # the field path's real FFT has _PAD * n points (module docstring)
 _PAD = 4
 
-# irfft output points per block of rows, to bound the temporary buffers
-_BLOCK_POINTS = 1 << 20
+# irfft output points per block of rows (4 MB), to bound the temporary
+# buffers; a 36-row read at n = 65536 then peaks below a level-1 batch at
+# n = 2^18, which every fit that climbs to 2^18 runs anyway
+_BLOCK_POINTS = 1 << 19
 
 
 def _is_pow2(n: int) -> bool:
@@ -157,25 +159,24 @@ def _half_nodes(grid: GridSpec):
     return h, h * np.arange(int(grid.xi_max / h) + 1)
 
 
-def _invert(spectra: np.ndarray, xi: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """(h / 2 pi) sum over all j of S_j e^{-i x_k xi_j}, for each Hermitian
-    spectrum row S sampled at the nodes xi_j = j h >= 0; rows of shape
-    (rows, J) give (rows, n). Overwrites spectra.
+def _phase(xi: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """e^{-i x_{n-1} xi_j} / dx, the factor _window needs on each spectrum."""
+    x_last = grid.x_center + (grid.n - 1 - grid.n // 2) * grid.dx
+    return np.exp(-1j * x_last * xi) / grid.dx
+
+
+def _window(rows: np.ndarray, grid: GridSpec, out=None) -> np.ndarray:
+    """(h / 2 pi) sum over all j of S_j e^{-i x_k xi_j} on the grid's x
+    nodes, for each Hermitian spectrum row S sampled at the nodes
+    xi_j = j h >= 0 and already multiplied by _phase; rows of shape (rows, J)
+    give a (rows, n) view of the (rows, _PAD n) irfft output, written into
+    out if given.
 
     With Y_j = S_j e^{-i x_{n-1} xi_j}, irfft(Y)[q] holds the sum at
     x_{n-1-q}, so the window is the first n outputs read backwards. The
     scale (h / 2 pi) N = 1 / dx rides on the phase.
     """
-    n = grid.n
-    big = _PAD * n
-    x_last = grid.x_center + (n - 1 - n // 2) * grid.dx
-    spectra *= np.exp(-1j * x_last * xi) / grid.dx
-    rows = np.atleast_2d(spectra)
-    out = np.empty((rows.shape[0], n))
-    step = max(1, _BLOCK_POINTS // big)
-    for lo in range(0, rows.shape[0], step):
-        out[lo : lo + step] = np.fft.irfft(rows[lo : lo + step], n=big)[:, n - 1 :: -1]
-    return out if spectra.ndim > 1 else out[0]
+    return np.fft.irfft(rows, n=_PAD * grid.n, out=out)[:, grid.n - 1 :: -1]
 
 
 def _check_tail(p: GtsParams, grid: GridSpec) -> None:
@@ -244,34 +245,55 @@ def density_field(p: GtsParams, grid: GridSpec) -> Field:
 HESS_PAIRS = tuple((r, s) for r in range(7) for s in range(r, 7))
 
 
-def _field_batch(p: GtsParams, grid: GridSpec, level: int) -> np.ndarray:
+def _field_batch(p: GtsParams, grid: GridSpec, level: int, read=None) -> np.ndarray:
     """Density row, then gradient rows, then packed curvature rows (in
-    HESS_PAIRS order), all inverted by _invert from shared Phi samples.
+    HESS_PAIRS order), all inverted by _window from shared Phi samples.
 
     d/dV e^Psi = (dPsi/dV) e^Psi and
     d2/dVdW e^Psi = (d2Psi/dVdW + dPsi/dV dPsi/dW) e^Psi,
     so every row is Phi times a polynomial in the psi_jet rows; only the 10
     nonzero d2Psi entries are added. level picks how deep to go: 1 density
     only, 8 adds the gradient, 36 the curvatures.
+
+    Rows are built and inverted a few at a time. read, if given, maps each
+    block of rows on the grid, shape (rows, n), to what is kept of it (the
+    rows read at the data points, say), and the kept blocks are stacked; the
+    batch then never holds its spectra or grid rows all at once, so its
+    memory is the psi_jet rows plus one block, not 36 rows of each.
     """
     if level not in (1, 8, 36):
         raise DomainError(f"field batch level must be 1, 8 or 36, got {level}")
     _check_tail(p, grid)
     _, xi = _half_nodes(grid)
     phi = characteristic_function(p, xi)
-    spectra = np.empty((level, xi.size), dtype=complex)
-    spectra[0] = phi
+    phase = _phase(xi, grid)
     if level >= 8:
         gp, hp = psi_jet(p, xi)
-        np.multiply(gp, phi, out=spectra[1:8])
-    if level == 36:
-        for k, (r, s) in enumerate(HESS_PAIRS):
-            row = spectra[8 + k]
-            np.multiply(gp[r], gp[s], out=row)
-            if (r, s) in hp:
-                row += hp[r, s]
+    # one spectra and one irfft buffer per batch, reused by every block;
+    # allocated per block, they went back to the system and were faulted in
+    # again (about 1200 page faults per 36-row batch at n = 8192)
+    step = min(level, max(1, _BLOCK_POINTS // (_PAD * grid.n)))
+    block = np.empty((step, xi.size), dtype=complex)
+    out = np.empty((step, _PAD * grid.n))
+    kept = []
+    for lo in range(0, level, step):
+        rows = block[: min(step, level - lo)]
+        for i, row in enumerate(rows, lo):
+            if i == 0:
+                row[:] = phi
+                continue
+            if i < 8:
+                row[:] = gp[i - 1]
+            else:
+                r, s = HESS_PAIRS[i - 8]
+                np.multiply(gp[r], gp[s], out=row)
+                if (r, s) in hp:
+                    # each d2Psi row is read once; free it
+                    row += hp.pop((r, s))
             row *= phi
-    return _invert(spectra, xi, grid)
+        rows *= phase
+        kept.append((read or np.copy)(_window(rows, grid, out[: len(rows)])))
+    return kept[0] if len(kept) == 1 else np.concatenate(kept)
 
 
 def derivative_fields(p: GtsParams, grid: GridSpec):
@@ -299,7 +321,8 @@ def cdf_field(p: GtsParams, grid: GridSpec) -> Field:
     with np.errstate(divide="ignore", invalid="ignore"):
         integrand = characteristic_function(p, xi) / (1j * xi)
     integrand[0] = 0.0
-    raw = 0.5 - _invert(integrand, xi, grid) - (h / (2.0 * math.pi)) * (
+    integrand *= _phase(xi, grid)
+    raw = 0.5 - _window(integrand[np.newaxis], grid)[0] - (h / (2.0 * math.pi)) * (
         cumulant(p, 1) - grid.x_nodes()
     )
     return Field(grid, np.maximum.accumulate(raw), "cdf")

@@ -117,8 +117,7 @@ def _evaluate(p: GtsParams, y: np.ndarray, level: int, ctx: _GridContext = None)
     if ctx is None:
         ctx = _grid_context(p, y)
     grid, idx, w = ctx
-    flat = _field_batch(p, grid, level)
-    vals = _interp_apply(flat, idx, w)
+    vals = _field_batch(p, grid, level, read=lambda rows: _interp_apply(rows, idx, w))
     fi = vals[0]
     if not np.all(np.isfinite(fi)) or np.any(fi <= 0.0):
         raise LikelihoodError("density vanished or misbehaved at a data point")

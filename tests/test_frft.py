@@ -6,6 +6,7 @@ over the same truncated frequency range the grids use.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ from gtsfit.frft import (
     Field,
     GridSpec,
     _field_batch,
+    _half_nodes,
+    _interp_apply,
+    _interp_weights,
     auto_grid,
     cdf_field,
     density_field,
@@ -168,6 +172,38 @@ class TestInversionAgainstDirectSum:
         )
         want = np.maximum.accumulate(raw)
         assert np.max(np.abs(cdf_field(spy_params, g).values - want)) <= 1e-12
+
+
+class TestBatchReadInBlocks:
+    """A batch read at query points goes through the rows a block at a time."""
+
+    @pytest.fixture
+    def setup(self, spy_params):
+        g = auto_grid(spy_params, -30.0, 30.0)
+        idx, w = _interp_weights(g, np.linspace(-29.0, 29.0, 1000))
+        return g, lambda rows: _interp_apply(rows, idx, w)
+
+    @pytest.mark.parametrize("level", [1, 8, 36])
+    def test_same_values_as_full_rows(self, spy_params, setup, level):
+        g, read = setup
+        full = _field_batch(spy_params, g, level)
+        assert np.array_equal(_field_batch(spy_params, g, level, read=read), read(full))
+
+    def test_curvature_rows_add_no_peak_memory(self, spy_params, setup):
+        """The 28 curvature rows of a 36-row read cost less traced peak
+        memory than 7 spectrum rows over an 8-row read; holding them all,
+        as spectra or on the grid, would cost more than 28."""
+        g, read = setup
+        row_bytes = _half_nodes(g)[1].size * 16
+        peaks = {}
+        for level in (8, 36):
+            tracemalloc.start()
+            try:
+                _field_batch(spy_params, g, level, read=read)
+                peaks[level] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[36] - peaks[8] < 7 * row_bytes
 
 
 def test_heavy_left_tail_does_not_alias():

@@ -120,9 +120,9 @@ class TestFit:
         levels = []
         real = mle._field_batch
 
-        def counted(p, grid, level):
+        def counted(p, grid, level, **kw):
             levels.append(level)
-            return real(p, grid, level)
+            return real(p, grid, level, **kw)
 
         monkeypatch.setattr(mle, "_field_batch", counted)
         opts = FitOptions(init=spy_params, tol_grad=1e-6, step_policy=policy)
@@ -141,12 +141,12 @@ class TestFit:
         def full_reads_fail_after(n):
             done = []
 
-            def batch(p, grid, level):
+            def batch(p, grid, level, **kw):
                 if level == 36:
                     if len(done) == n:
                         raise GridError("injected")
                     done.append(p)
-                return real(p, grid, level)
+                return real(p, grid, level, **kw)
 
             return batch
 
