@@ -16,6 +16,22 @@ spectrum filled up to pi/dx) lets a heavy left tail alias onto the right end
 of the window: 6.4e-10 relative in the density at the data points of a spy
 fit, 1.6e-9 in its log-likelihood.
 
+The likelihood Hessian needs the curvature rows f_rs only through the sums
+sum_i f_rs(x_i) / f(x_i) over the sample. The map from a spectrum row S to
+its values at the sample points (the irfft window, then the 4-point
+Lagrange read) is linear, so each sum equals its transpose applied to the
+weights u_i = 1/f(x_i). Scatter u through the same Lagrange weights onto a
+real vector v of N points, at irfft output n-1-k for grid node k, and take
+V = rfft(v). Since irfft(Y)[q] = (1/N) sum_j c_j Re(Y_j e^{2 pi i j q/N}),
+with c_0 = c_{N/2} = 1 and c_j = 2 otherwise,
+
+    sum_i u_i f_rs(x_i) = Re sum_j B_j (dPsi_r dPsi_s + d2Psi_rs)_j,
+    B_j = c_j conj(V_j) phase_j Phi_j / N,
+
+phase_j being _phase's factor. That is the same quadrature summed in the
+other order, so it is exact to rounding: one forward FFT and dot products
+with the psi_jet rows replace 28 inverse FFTs.
+
 frft() remains as the general-a fractional Fourier transform by the
 chirp-z decomposition (three length-2n FFTs); the field path does not use it.
 
@@ -37,11 +53,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridError
+from .errors import DomainError, GridError, LikelihoodError
 # grad_psi and hess_psi are not called here; perfbench/tracer.py wraps them
 # as attributes of this module
 from .model import (
     GtsParams,
+    atom_mass,
     characteristic_function,
     cumulant,
     grad_psi,
@@ -69,9 +86,9 @@ def _is_pow2(n: int) -> bool:
 @dataclass(frozen=True)
 class GridSpec:
     """Equispaced inversion grid: n output points spaced dx about x_center,
-    and the frequency truncation point xi_max = n d_xi / 2. tail_tol is the
-    truncation level this grid is certified for: field construction rejects
-    any characteristic function still larger than that at xi_max. The fields
+    and the frequency truncation point xi_max. tail_tol is the truncation
+    level this grid is certified for: field construction rejects any
+    characteristic function still larger than that at xi_max. The fields
     sample the spectrum at spacing 2 pi / (4 n dx) up to xi_max (module
     docstring), so xi_max may not exceed pi / dx, where that spacing's real
     FFT ends."""
@@ -79,14 +96,14 @@ class GridSpec:
     n: int
     x_center: float
     dx: float
-    d_xi: float
+    xi_max: float
     tail_tol: float = PHI_TAIL_TOL
 
     def __post_init__(self):
         if not _is_pow2(self.n) or self.n < 64:
             raise DomainError(f"grid size must be a power of two >= 64, got {self.n}")
-        if not (self.dx > 0.0 and self.d_xi > 0.0):
-            raise DomainError("grid spacings must be positive")
+        if not (self.dx > 0.0 and self.xi_max > 0.0):
+            raise DomainError("grid spacing and frequency range must be positive")
         if not (0.0 < self.tail_tol <= 1e-6):
             raise DomainError("tail tolerance must lie in (0, 1e-6]")
         if self.xi_max * self.dx > math.pi:
@@ -95,21 +112,9 @@ class GridSpec:
                 f"{math.pi / self.dx:g}"
             )
 
-    @property
-    def a(self) -> float:
-        return self.dx * self.d_xi / (2.0 * math.pi)
-
-    @property
-    def xi_max(self) -> float:
-        return 0.5 * self.n * self.d_xi
-
     def x_nodes(self) -> np.ndarray:
         k = np.arange(self.n)
         return self.x_center + (k - self.n // 2) * self.dx
-
-    def xi_nodes(self) -> np.ndarray:
-        j = np.arange(self.n)
-        return (j - self.n // 2) * self.d_xi
 
 
 @dataclass(frozen=True)
@@ -179,13 +184,31 @@ def _window(rows: np.ndarray, grid: GridSpec, out=None) -> np.ndarray:
     return np.fft.irfft(rows, n=_PAD * grid.n, out=out)[:, grid.n - 1 :: -1]
 
 
+def _check_atom(p: GtsParams, tol: float) -> None:
+    """Raise DomainError if the law's atom at mu outweighs tol. |Phi| tends
+    to the atom's mass at large xi, so no truncation below it exists."""
+    mass = atom_mass(p)
+    if mass > tol:
+        raise DomainError(
+            f"the law has an atom of mass {mass:.3e} at mu = {p.mu:g} (finite "
+            "jump activity on every active tail) and no density to invert"
+        )
+
+
 def _check_tail(p: GtsParams, grid: GridSpec) -> None:
+    _check_atom(p, grid.tail_tol)
     tail = abs(characteristic_function(p, grid.xi_max))
     if tail > grid.tail_tol:
         raise GridError(
             f"|Phi| = {tail:.3e} at the grid edge xi = {grid.xi_max:g}; "
             "widen the frequency range"
         )
+
+
+def _check_density(f: np.ndarray) -> None:
+    """Raise LikelihoodError unless the density reads f are positive and finite."""
+    if not np.all(np.isfinite(f)) or np.any(f <= 0.0):
+        raise LikelihoodError("density vanished or misbehaved at a data point")
 
 
 TAIL_TOL_LADDER = (PHI_TAIL_TOL, 1e-11, 1e-10)
@@ -201,7 +224,7 @@ def auto_grid(p: GtsParams, x_lo: float, x_hi: float) -> GridSpec:
     double the frequency span until the characteristic function has decayed
     below PHI_TAIL_TOL, then size n (at least GRID_N_MIN) so the fastest
     integrand oscillation is sampled at least four times per period
-    (a n <= 1/2).
+    (xi_max dx <= pi / 2).
 
     Near beta = 0 the characteristic function decays too slowly for the
     strict truncation level within the GRID_N_MAX budget (the required span
@@ -209,9 +232,11 @@ def auto_grid(p: GtsParams, x_lo: float, x_hi: float) -> GridSpec:
     is relaxed one decade at a time and the achieved level is recorded on the
     returned GridSpec. The ladder stops at 1e-10: looser truncation leaves
     enough bias in the far density tail to manufacture spurious likelihood
-    ascent toward heavy-tailed parameters."""
+    ascent toward heavy-tailed parameters. A law whose atom outweighs the
+    loosest rung is a DomainError."""
     if not (x_hi > x_lo):
         raise DomainError("auto_grid needs x_hi > x_lo")
+    _check_atom(p, TAIL_TOL_LADDER[-1])
     width = x_hi - x_lo
     x_center = 0.5 * (x_lo + x_hi)
     span = 0.5 * width + GRID_PAD * width
@@ -228,9 +253,7 @@ def auto_grid(p: GtsParams, x_lo: float, x_hi: float) -> GridSpec:
             n *= 2
         if n > GRID_N_MAX:
             continue
-        return GridSpec(
-            n=n, x_center=x_center, dx=2.0 * span / n, d_xi=2.0 * xi_max / n, tail_tol=tol
-        )
+        return GridSpec(n=n, x_center=x_center, dx=2.0 * span / n, xi_max=xi_max, tail_tol=tol)
     raise GridError(
         "no admissible grid: the characteristic function decays too slowly "
         f"for the size bound n <= {GRID_N_MAX}"
@@ -245,7 +268,7 @@ def density_field(p: GtsParams, grid: GridSpec) -> Field:
 HESS_PAIRS = tuple((r, s) for r in range(7) for s in range(r, 7))
 
 
-def _field_batch(p: GtsParams, grid: GridSpec, level: int, read=None) -> np.ndarray:
+def _field_batch(p: GtsParams, grid: GridSpec, level: int, read=None, scatter=None):
     """Density row, then gradient rows, then packed curvature rows (in
     HESS_PAIRS order), all inverted by _window from shared Phi samples.
 
@@ -260,6 +283,13 @@ def _field_batch(p: GtsParams, grid: GridSpec, level: int, read=None) -> np.ndar
     rows read at the data points, say), and the kept blocks are stacked; the
     batch then never holds its spectra or grid rows all at once, so its
     memory is the psi_jet rows plus one block, not 36 rows of each.
+
+    A level-36 batch given scatter, the transpose of a linear read (a vector
+    at the read points to its (n,) grid vector), inverts only the first 8
+    rows and returns (the 8 read rows, C), where C[r, s] is the sum over the
+    read points of f_rs / f, f the density row: every curvature is summed
+    by the adjoint of the inversion (module docstring). The density must be
+    positive and finite at every read point, else LikelihoodError.
     """
     if level not in (1, 8, 36):
         raise DomainError(f"field batch level must be 1, 8 or 36, got {level}")
@@ -269,15 +299,17 @@ def _field_batch(p: GtsParams, grid: GridSpec, level: int, read=None) -> np.ndar
     phase = _phase(xi, grid)
     if level >= 8:
         gp, hp = psi_jet(p, xi)
+    adjoint = level == 36 and scatter is not None
+    inverted = 8 if adjoint else level
     # one spectra and one irfft buffer per batch, reused by every block;
     # allocated per block, they went back to the system and were faulted in
     # again (about 1200 page faults per 36-row batch at n = 8192)
-    step = min(level, max(1, _BLOCK_POINTS // (_PAD * grid.n)))
+    step = min(inverted, max(1, _BLOCK_POINTS // (_PAD * grid.n)))
     block = np.empty((step, xi.size), dtype=complex)
     out = np.empty((step, _PAD * grid.n))
     kept = []
-    for lo in range(0, level, step):
-        rows = block[: min(step, level - lo)]
+    for lo in range(0, inverted, step):
+        rows = block[: min(step, inverted - lo)]
         for i, row in enumerate(rows, lo):
             if i == 0:
                 row[:] = phi
@@ -293,7 +325,25 @@ def _field_batch(p: GtsParams, grid: GridSpec, level: int, read=None) -> np.ndar
             row *= phi
         rows *= phase
         kept.append((read or np.copy)(_window(rows, grid, out[: len(rows)])))
-    return kept[0] if len(kept) == 1 else np.concatenate(kept)
+    vals = kept[0] if len(kept) == 1 else np.concatenate(kept)
+    if not adjoint:
+        return vals
+    _check_density(vals[0])
+    # the window's transpose: 1 / f onto the grid, at irfft output n - 1 - k
+    v = out[0]
+    v[:] = 0.0
+    v[grid.n - 1 :: -1] = scatter(1.0 / vals[0])
+    b = np.conj(np.fft.rfft(v)[: xi.size])
+    b[1 : _PAD * grid.n // 2] *= 2.0
+    b *= phase
+    b *= phi
+    b /= _PAD * grid.n
+    curv = np.empty((7, 7))
+    for r in range(7):
+        curv[r, r:] = (gp[r:] @ (gp[r] * b)).real
+    for (r, s), row in hp.items():
+        curv[r, s] += (b @ row).real
+    return vals, np.triu(curv) + np.triu(curv, 1).T
 
 
 def derivative_fields(p: GtsParams, grid: GridSpec):
@@ -359,6 +409,13 @@ def _interp_apply(values: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndar
         + values[..., idx + 1] * w[2]
         + values[..., idx + 2] * w[3]
     )
+
+
+def _interp_scatter(u: np.ndarray, idx: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """Transpose of _interp_apply on an n-point grid: the (n,) vector s with
+    s . row = u . _interp_apply(row, idx, w) for every grid row."""
+    nodes = np.concatenate((idx - 1, idx, idx + 1, idx + 2))
+    return np.bincount(nodes, weights=(w * u).ravel(), minlength=n)
 
 
 def interpolate(field: Field, x):

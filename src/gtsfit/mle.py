@@ -1,12 +1,15 @@
 """Maximum likelihood fitting of the tempered-stable law by Newton iteration.
 
 Each iterate, the starting point included, is read once, on its own grid,
-by a field batch of 36 rows: the density, its 7 parameter gradients, and
-the 28 distinct curvatures. Every sample point reads all 36 surfaces
-through the same interpolation weights, so the per-iteration cost is
-independent of the sample size. Line-search candidates are accepted or
-rejected on the log-likelihood alone, so each costs a batch of the density
-row only.
+by one level-36 field batch. It inverts 8 rows, the density and its 7
+parameter gradients, and every sample point reads them through the same
+interpolation weights. The 28 distinct curvatures enter the Hessian only
+through the sums over the sample of d2f/f, and the batch takes those by
+the adjoint of the inversion: one forward FFT of the weights 1/f scattered
+onto the grid, then dot products with the curvature spectra. So no
+curvature row is inverted, and the per-iteration cost is independent of
+the sample size. Line-search candidates are accepted or rejected on the
+log-likelihood alone, so each costs a batch of the density row only.
 
 The likelihood surface is not concave far from the optimum: the Hessian
 picks up positive eigenvalues along the beta directions and a raw Newton
@@ -30,7 +33,16 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from .errors import ConvergenceError, DataError, DomainError, GridError, LikelihoodError
-from .frft import HESS_PAIRS, _field_batch, _interp_apply, _interp_weights, auto_grid
+from .frft import (
+    TAIL_TOL_LADDER,
+    _check_atom,
+    _check_density,
+    _field_batch,
+    _interp_apply,
+    _interp_scatter,
+    _interp_weights,
+    auto_grid,
+)
 from .model import PARAM_NAMES, GbmParams, GtsParams
 
 DEFAULT_INIT = GtsParams(0.0, 0.5, 0.5, 0.5, 0.5, 1.0, 1.0)
@@ -59,6 +71,7 @@ class FitOptions:
             raise DomainError("max_iter must be >= 1")
         if self.step_policy not in STEP_POLICIES:
             raise DomainError(f"step policy must be one of {STEP_POLICIES}")
+        _check_atom(self.init, TAIL_TOL_LADDER[-1])
 
 
 class TraceRow(NamedTuple):
@@ -113,27 +126,30 @@ def _grid_context(p: GtsParams, y: np.ndarray) -> _GridContext:
 
 def _evaluate(p: GtsParams, y: np.ndarray, level: int, ctx: _GridContext = None):
     """(log-lik, score, hessian) from one field batch; entries beyond the
-    requested level are None. A caller-supplied context pins the grid."""
+    requested level are None. A caller-supplied context pins the grid. At
+    level 36 the batch inverts the density and gradient rows and returns
+    the curvature sums C[r, s] = sum f_rs / f by the adjoint of the
+    inversion, so the Hessian is C - sum (df/f)(df/f)^T."""
     if ctx is None:
         ctx = _grid_context(p, y)
     grid, idx, w = ctx
-    vals = _field_batch(p, grid, level, read=lambda rows: _interp_apply(rows, idx, w))
+    read = lambda rows: _interp_apply(rows, idx, w)
+    if level == 36:
+        vals, curv = _field_batch(
+            p, grid, 36, read=read, scatter=lambda u: _interp_scatter(u, idx, w, grid.n)
+        )
+    else:
+        vals = _field_batch(p, grid, level, read=read)
+        _check_density(vals[0])
     fi = vals[0]
-    if not np.all(np.isfinite(fi)) or np.any(fi <= 0.0):
-        raise LikelihoodError("density vanished or misbehaved at a data point")
     ll = float(np.sum(np.log(fi)))
     if level == 1:
         return ll, None, None
-    gi = vals[1:8]
-    sc = np.sum(gi / fi, axis=1)
+    q = vals[1:8] / fi
+    sc = np.sum(q, axis=1)
     if level == 8:
         return ll, sc, None
-    hess = np.zeros((7, 7))
-    for k, (r, s) in enumerate(HESS_PAIRS):
-        v = float(np.sum(vals[8 + k] / fi - gi[r] * gi[s] / fi**2))
-        hess[r, s] = v
-        hess[s, r] = v
-    return ll, sc, hess
+    return ll, sc, curv - q @ q.T
 
 
 def log_likelihood(p: GtsParams, data) -> float:
@@ -150,7 +166,8 @@ def score(p: GtsParams, data) -> np.ndarray:
 
 def hessian(p: GtsParams, data) -> np.ndarray:
     """Second-derivative matrix of the log-likelihood, symmetric by
-    construction: sum over samples of d2f/f - (df/f)(df/f)^T."""
+    construction: sum over samples of d2f/f - (df/f)(df/f)^T, with the
+    d2f/f sums taken by the adjoint of the inversion."""
     _, _, h = _evaluate(p, _as_data(data), 36)
     return h
 

@@ -167,6 +167,16 @@ def total_levy_mass(p: GtsParams) -> float:
     return total
 
 
+def atom_mass(p: GtsParams) -> float:
+    """Mass exp(-total_levy_mass) of the law's point mass at mu; 0 when
+    either active tail has infinite jump activity."""
+    try:
+        return math.exp(-total_levy_mass(p))
+    except OverflowError:
+        # the jump intensity overflows a float, so the atom underflows
+        return 0.0
+
+
 def _side_value(alpha, beta, lam, w):
     """One tail's contribution to Psi; w = lambda -+ i xi."""
     if alpha == 0.0:
@@ -230,13 +240,16 @@ def _side_derivs(alpha, beta, lam, w):
     g = gamma_real(-beta)
     p0 = digamma(-beta)
     p1 = trigamma(-beta)
-    wb = w**beta
+    # w^beta from the log already taken, then one division per lower power
+    wb = np.exp(beta * L)
+    wb1 = wb / w
     lb = lam**beta
+    lb1 = lam ** (beta - 1.0)
     d0 = wb - lb
     d1 = wb * L - lb * ln_lam
     d2 = wb * L * L - lb * ln_lam**2
-    e0 = w ** (beta - 1.0) - lam ** (beta - 1.0)
-    e1 = w ** (beta - 1.0) * L - lam ** (beta - 1.0) * ln_lam
+    e0 = wb1 - lb1
+    e1 = wb1 * L - lb1 * ln_lam
     return {
         "a": g * d0,
         "b": alpha * g * (d1 - p0 * d0),
@@ -245,7 +258,7 @@ def _side_derivs(alpha, beta, lam, w):
         "al": g * beta * e0,
         "bb": alpha * g * ((p0 * p0 + p1) * d0 - 2.0 * p0 * d1 + d2),
         "bl": alpha * g * ((1.0 - beta * p0) * e0 + beta * e1),
-        "ll": alpha * g * beta * (beta - 1.0) * (w ** (beta - 2.0) - lam ** (beta - 2.0)),
+        "ll": alpha * g * beta * (beta - 1.0) * (wb1 / w - lam ** (beta - 2.0)),
     }
 
 

@@ -81,7 +81,7 @@ def test_criterion_02_density_inversion_fidelity(spy_params):
         worst = max(worst, abs(v - oracle))
     g2 = GridSpec(
         n=2 * g.n, x_center=g.x_center, dx=g.dx / 2,
-        d_xi=2.0 * g.xi_max / (2 * g.n), tail_tol=g.tail_tol,
+        xi_max=g.xi_max, tail_tol=g.tail_tol,
     )
     doubled = interpolate(density_field(spy_params, g2), xs)
     drift = float(np.max(np.abs(vals - doubled)))

@@ -1,0 +1,28 @@
+"""One short benchmark run ends with its result line.
+
+The benchmark's contract is that the last line of standard output is the
+result JSON. This runs one second of the `fit_spy` workload from the
+checkout and reads that line; it does not modify perfbench/.
+"""
+
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_fit_spy_run_ends_with_a_correct_result():
+    argv = [
+        sys.executable, "perfbench/run.py",
+        "--workload", "fit_spy", "--seed", "1", "--seconds", "1", "--trace", "0",
+    ]
+    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    for name in ("round_cpu_s", "setup_s", "peak_rss_mb"):
+        assert math.isfinite(result["metrics"][name]["value"]), name

@@ -167,6 +167,12 @@ class TestFit:
         r = write_returns(tmp_path / "r.csv", [0.1] * 60)
         assert cli.main(["fit", str(r), "--init", "1,2,3"]) == 2
 
+    @pytest.mark.parametrize("init", ["0,-0.5,-0.5,0.5,0.5,1,1", "0,0.5,-0.5,0,0.5,1,1"])
+    def test_init_with_atom_exits_2(self, tmp_path, spy_sample_600, capsys, init):
+        r = write_returns(tmp_path / "r.csv", spy_sample_600)
+        assert cli.main(["fit", str(r), "--init", init]) == 2
+        assert "atom of mass" in capsys.readouterr().err
+
 
 class TestGof:
     def test_raw_returns_against_params(self, tmp_path, spy_json, spy_sample_600, capsys):
@@ -229,6 +235,19 @@ class TestSimulate:
 
     def test_gbm_params_rejected(self, gbm_json):
         assert cli.main(["simulate", "--params", gbm_json, "--n", "5", "--seed", "1"]) == 2
+
+    @pytest.mark.parametrize("tails", [(-0.5, -0.5, 0.5), (0.5, -0.5, 0.0)])
+    def test_law_with_atom_exits_2(self, tmp_path, capsys, tails):
+        beta_plus, beta_minus, alpha_plus = tails
+        params = tmp_path / "atom.json"
+        params.write_text(json.dumps({
+            "schema_version": 1, "model": "gts", "mu": 0.0,
+            "beta_plus": beta_plus, "beta_minus": beta_minus,
+            "alpha_plus": alpha_plus, "alpha_minus": 0.5,
+            "lambda_plus": 1.0, "lambda_minus": 1.0,
+        }))
+        assert cli.main(["simulate", "--params", str(params), "--n", "5", "--seed", "1"]) == 2
+        assert "atom of mass" in capsys.readouterr().err
 
 
 class TestRecenter:

@@ -79,23 +79,21 @@ class TestFrftKernel:
 
 class TestGridSpec:
     def test_properties(self):
-        g = GridSpec(n=128, x_center=1.5, dx=0.25, d_xi=0.125)
-        assert g.a == pytest.approx(0.25 * 0.125 / (2 * math.pi), rel=1e-15)
+        g = GridSpec(n=128, x_center=1.5, dx=0.25, xi_max=8.0)
         assert g.xi_max == 8.0
         assert g.x_nodes()[64] == 1.5
-        assert g.xi_nodes()[64] == 0.0
         assert g.x_nodes().shape == (128,)
         assert g.tail_tol == PHI_TAIL_TOL
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(n=100, x_center=0, dx=0.1, d_xi=0.1),
-            dict(n=32, x_center=0, dx=0.1, d_xi=0.1),
-            dict(n=128, x_center=0, dx=0.0, d_xi=0.1),
-            dict(n=128, x_center=0, dx=0.1, d_xi=-0.1),
-            dict(n=128, x_center=0, dx=0.1, d_xi=0.1, tail_tol=0.0),
-            dict(n=128, x_center=0, dx=0.1, d_xi=0.1, tail_tol=1e-3),
+            dict(n=100, x_center=0, dx=0.1, xi_max=5.0),
+            dict(n=32, x_center=0, dx=0.1, xi_max=1.6),
+            dict(n=128, x_center=0, dx=0.0, xi_max=6.4),
+            dict(n=128, x_center=0, dx=0.1, xi_max=-6.4),
+            dict(n=128, x_center=0, dx=0.1, xi_max=6.4, tail_tol=0.0),
+            dict(n=128, x_center=0, dx=0.1, xi_max=6.4, tail_tol=1e-3),
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
@@ -103,7 +101,7 @@ class TestGridSpec:
             GridSpec(**kwargs)
 
     def test_field_values_frozen_and_sized(self):
-        g = GridSpec(n=64, x_center=0, dx=0.1, d_xi=0.1)
+        g = GridSpec(n=64, x_center=0, dx=0.1, xi_max=3.2)
         f = Field(g, np.zeros(64), "density")
         assert not f.values.flags.writeable
         with pytest.raises(DomainError):
@@ -115,8 +113,8 @@ class TestGridSpec:
         """A real FFT at spacing 2 pi / (4 n dx) ends at pi / dx; a grid
         truncated above that would lose its top nodes without notice."""
         with pytest.raises(GtsError, match="exceeds pi / dx"):
-            GridSpec(n=64, x_center=0.0, dx=0.1, d_xi=1.0)
-        GridSpec(n=64, x_center=0.0, dx=0.1, d_xi=0.98)
+            GridSpec(n=64, x_center=0.0, dx=0.1, xi_max=32.0)
+        GridSpec(n=64, x_center=0.0, dx=0.1, xi_max=31.36)
 
     def test_auto_grid_stays_below_half_nyquist(self, spy_params):
         for lo, hi in ((-10.0, 10.0), (-7.4066, 4.842), (-0.1, 0.1)):
@@ -139,7 +137,7 @@ class TestInversionAgainstDirectSum:
     """The field path (zero-padded real FFT) against the same quadrature
     summed term by term, on a small grid centred off zero."""
 
-    GRID = GridSpec(n=512, x_center=0.7, dx=0.012, d_xi=1.0)
+    GRID = GridSpec(n=512, x_center=0.7, dx=0.012, xi_max=256.0)
 
     def _spectra(self, p):
         g = self.GRID
@@ -239,17 +237,44 @@ class TestAutoGrid:
         assert g.xi_max == 8192.0
 
     def test_no_grid_when_tail_never_decays(self):
-        """Finite-activity laws keep |Phi| bounded away from zero."""
+        """Finite-activity laws keep |Phi| bounded away from zero: |Phi|
+        tends to the mass of the atom at mu, here 0.029."""
         p = GtsParams(0.0, -0.5, -0.5, 1.0, 1.0, 1.0, 1.0)
-        with pytest.raises(GridError):
+        with pytest.raises(DomainError, match="atom of mass 2.887e-02"):
             auto_grid(p, -10.0, 10.0)
 
     def test_empty_range_rejected(self, spy_params):
         with pytest.raises(DomainError):
             auto_grid(spy_params, 3.0, 3.0)
 
+    ATOMS = {
+        "beta < 0 on both tails": GtsParams(0.0, -0.5, -0.5, 0.5, 0.5, 1.0, 1.0),
+        "alpha+ = 0, beta- < 0": GtsParams(0.0, 0.5, -0.5, 0.0, 0.5, 1.0, 1.0),
+    }
+
+    @pytest.mark.parametrize("law", ATOMS)
+    def test_atom_is_a_domain_error(self, law):
+        """|Phi| tends to the atom's mass (0.170, 0.412), so no grid can
+        certify a truncation: a DomainError naming the atom, from auto_grid
+        and from every field on a given grid."""
+        p = self.ATOMS[law]
+        with pytest.raises(DomainError, match="atom of mass"):
+            auto_grid(p, -10.0, 10.0)
+        g = GridSpec(n=8192, x_center=0.0, dx=30.0 / 8192, xi_max=256.0)
+        for field in (density_field, cdf_field):
+            with pytest.raises(DomainError, match="atom of mass"):
+                field(p, g)
+
+    def test_atom_below_loosest_rung_behaves_as_before(self):
+        """An atom lighter than every rung leaves grid selection as it was:
+        mass 9.8e-11 still decays too slowly for the budget, mass 4e-16
+        gets a grid."""
+        with pytest.raises(GridError, match="decays too slowly"):
+            auto_grid(GtsParams(0.0, -0.5, -0.5, 6.5, 6.5, 1.0, 1.0), -10.0, 10.0)
+        assert auto_grid(GtsParams(0.0, -0.5, -0.5, 10.0, 10.0, 1.0, 1.0), -10.0, 10.0).n == 8192
+
     def test_fields_reject_undersized_frequency_range(self, spy_params):
-        g = GridSpec(n=64, x_center=0.0, dx=0.1, d_xi=0.1)
+        g = GridSpec(n=64, x_center=0.0, dx=0.1, xi_max=3.2)
         with pytest.raises(GridError):
             density_field(spy_params, g)
         with pytest.raises(GridError):
@@ -360,7 +385,7 @@ class TestInterpolate:
             interpolate(f, np.array([0.0, 99.0]))
 
     def test_density_reads_clipped_to_zero(self):
-        g = GridSpec(n=64, x_center=0.0, dx=0.1, d_xi=0.1)
+        g = GridSpec(n=64, x_center=0.0, dx=0.1, xi_max=3.2)
         values = np.zeros(64)
         values[30] = -1e-9
         f = Field(g, values, "density")
@@ -368,7 +393,7 @@ class TestInterpolate:
         assert interpolate(f, x) == 0.0
 
     def test_cdf_reads_clamped_to_unit_interval(self):
-        g = GridSpec(n=64, x_center=0.0, dx=0.1, d_xi=0.1)
+        g = GridSpec(n=64, x_center=0.0, dx=0.1, xi_max=3.2)
         f = Field(g, np.linspace(-0.1, 1.1, 64), "cdf")
         xs = g.x_nodes()[3:-3]
         out = interpolate(f, xs)
@@ -382,7 +407,7 @@ class TestInterpolate:
 
 class TestFieldCsv:
     def test_round_trip(self, tmp_path, spy_params):
-        g = GridSpec(n=64, x_center=0.0, dx=0.1, d_xi=0.1)
+        g = GridSpec(n=64, x_center=0.0, dx=0.1, xi_max=3.2)
         f = Field(g, np.arange(64.0) / 7.0, "density")
         path = tmp_path / "field.csv"
         field_to_csv(f, path)

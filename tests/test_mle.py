@@ -1,5 +1,8 @@
 """Likelihood evaluation and the safeguarded Newton fit."""
 
+import importlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,8 +22,8 @@ from gtsfit.mle import (
     parameter_covariance,
     score,
 )
-from gtsfit.frft import auto_grid, density_field, interpolate
-from gtsfit.model import PARAM_NAMES, GtsParams
+from gtsfit.frft import auto_grid, density_field, derivative_fields, interpolate
+from gtsfit.model import BETA_LIMIT, PARAM_NAMES, GtsParams
 
 
 class TestEvaluation:
@@ -67,6 +70,69 @@ class TestEvaluation:
             log_likelihood(spy_params, [1.0, np.nan])
         with pytest.raises(DataError):
             log_likelihood(spy_params, np.ones(60))
+
+
+class TestAdjointHessian:
+    """The level-36 read inverts 8 rows and sums every curvature by the
+    adjoint of the inversion; the 36 inverted rows of derivative_fields,
+    read at the points, are the oracle."""
+
+    POINTS = {
+        "spy truth": {},
+        "beta- below BETA_LIMIT": {"beta_minus": 0.3 * BETA_LIMIT},
+        "compound-Poisson beta-": {"beta_minus": -0.4},
+    }
+
+    @staticmethod
+    def _row_path(p, y, grid):
+        """(log-lik, score, hessian) from the 36 full rows read at y."""
+        grad, hess = derivative_fields(p, grid)
+        f = interpolate(density_field(p, grid), y)
+        q = np.array([interpolate(g, y) for g in grad]) / f
+        c = np.array([[np.sum(interpolate(h, y) / f) for h in row] for row in hess])
+        return float(np.sum(np.log(f))), np.sum(q, axis=1), c - q @ q.T
+
+    @pytest.mark.parametrize("point", POINTS)
+    @pytest.mark.parametrize("block_points", [None, 1])
+    def test_matches_row_path(self, monkeypatch, spy_params, spy_sample_600, point, block_points):
+        """Within 1e-13 of max|H|, with one block per batch and with one row
+        per block (the 8 rows then span 8 blocks)."""
+        if block_points is not None:
+            monkeypatch.setattr(importlib.import_module("gtsfit.frft"), "_BLOCK_POINTS", block_points)
+        p = replace(spy_params, **self.POINTS[point])
+        ctx = mle._grid_context(p, spy_sample_600)
+        ll, sc, h = mle._evaluate(p, spy_sample_600, 36, ctx)
+        ll_rows, sc_rows, h_rows = self._row_path(p, spy_sample_600, ctx.grid)
+        scale = np.max(np.abs(h_rows))
+        assert np.max(np.abs(h - h_rows)) <= 1e-13 * scale
+        assert np.array_equal(h, h.T)
+        assert ll == pytest.approx(ll_rows, rel=1e-13)
+        assert np.allclose(sc, sc_rows, rtol=1e-12, atol=1e-12 * np.max(np.abs(sc_rows)))
+
+    @pytest.mark.parametrize("point", POINTS)
+    def test_likelihood_and_score_bit_equal_to_level_8(self, spy_params, spy_sample_600, point):
+        p = replace(spy_params, **self.POINTS[point])
+        ctx = mle._grid_context(p, spy_sample_600)
+        ll, sc, _ = mle._evaluate(p, spy_sample_600, 36, ctx)
+        ll8, sc8, _ = mle._evaluate(p, spy_sample_600, 8, ctx)
+        assert ll == ll8
+        assert np.array_equal(sc, sc8)
+
+    def test_density_checked_before_reciprocal(self, spy_params, spy_sample_600):
+        """A density read <= 0 at a data point is a LikelihoodError, raised
+        before 1/f reaches the adjoint sums."""
+        frft_mod = importlib.import_module("gtsfit.frft")
+
+        def no_scatter(u):
+            raise AssertionError("scatter reached with a non-positive density")
+
+        ctx = mle._grid_context(spy_params, spy_sample_600)
+
+        def read(rows):
+            return -frft_mod._interp_apply(rows, ctx.idx, ctx.w)
+
+        with pytest.raises(LikelihoodError):
+            frft_mod._field_batch(spy_params, ctx.grid, 36, read=read, scatter=no_scatter)
 
 
 class TestMaxEigenvalue:
@@ -195,6 +261,26 @@ class TestFit:
     def test_small_sample_rejected(self, spy_params):
         with pytest.raises(DataError):
             fit(np.linspace(-1, 1, 49), FitOptions(init=spy_params))
+
+    @pytest.mark.parametrize(
+        "init",
+        [GtsParams(0.0, -0.5, -0.5, 0.5, 0.5, 1.0, 1.0), GtsParams(0.0, 0.5, -0.5, 0.0, 0.5, 1.0, 1.0)],
+    )
+    def test_init_with_atom_rejected(self, init):
+        with pytest.raises(DomainError, match="atom"):
+            FitOptions(init=init)
+
+    def test_candidate_with_atom_rejected_without_regrid(
+        self, monkeypatch, spy_params, spy_sample_600
+    ):
+        ctx = mle._grid_context(spy_params, spy_sample_600)
+
+        def no_regrid(p, y):
+            raise AssertionError("regrid attempted")
+
+        monkeypatch.setattr(mle, "_grid_context", no_regrid)
+        atom = np.array([0.0, -0.5, -0.5, 0.5, 0.5, 1.0, 1.0])
+        assert mle._try_candidate(atom, spy_sample_600, ctx) is None
 
     def test_options_validated(self):
         with pytest.raises(DomainError):

@@ -14,9 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtsfit.errors import DomainError
+from gtsfit.special import digamma, gamma_real, trigamma
 from gtsfit.model import (
     GbmParams,
     GtsParams,
+    _side_derivs,
+    atom_mass,
     characteristic_exponent,
     characteristic_function,
     cumulant,
@@ -198,6 +201,14 @@ class TestLevyMeasure:
     def test_mass_infinite_when_beta_nonnegative(self, spy_params):
         assert total_levy_mass(spy_params) == math.inf
 
+    def test_atom_mass(self, spy_params):
+        assert atom_mass(spy_params) == 0.0
+        p = GtsParams(0.0, -0.5, -0.5, 0.5, 0.5, 1.0, 1.0)
+        assert atom_mass(p) == pytest.approx(math.exp(-math.sqrt(math.pi)), rel=1e-14)
+        assert atom_mass(GtsParams(0.3, 0.5, 0.5, 0.0, 0.0, 1.0, 1.0)) == 1.0
+        # a jump intensity beyond float range leaves no atom
+        assert atom_mass(GtsParams(0.0, -0.5, -0.5, 1.0, 1.0, 1e-300, 1.0)) == 0.0
+
     def test_mass_closed_form_for_finite_activity(self):
         p = GtsParams(0, -0.2560435, -0.5, 1.2868131, 0.4, 3.7929526, 1.1)
         from gtsfit.special import gamma_real
@@ -279,6 +290,33 @@ HESS_REFERENCE = {
 }
 
 
+def _side_derivs_unfused(alpha, beta, lam, w):
+    """_side_derivs off the beta -> 0 branch with each complex power of w
+    taken on its own, as w**beta, w**(beta - 1) and w**(beta - 2)."""
+    L = np.log(w)
+    ln_lam = math.log(lam)
+    g = gamma_real(-beta)
+    p0 = digamma(-beta)
+    p1 = trigamma(-beta)
+    wb = w**beta
+    lb = lam**beta
+    d0 = wb - lb
+    d1 = wb * L - lb * ln_lam
+    d2 = wb * L * L - lb * ln_lam**2
+    e0 = w ** (beta - 1.0) - lam ** (beta - 1.0)
+    e1 = w ** (beta - 1.0) * L - lam ** (beta - 1.0) * ln_lam
+    return {
+        "a": g * d0,
+        "b": alpha * g * (d1 - p0 * d0),
+        "l": alpha * g * beta * e0,
+        "ab": g * (d1 - p0 * d0),
+        "al": g * beta * e0,
+        "bb": alpha * g * ((p0 * p0 + p1) * d0 - 2.0 * p0 * d1 + d2),
+        "bl": alpha * g * ((1.0 - beta * p0) * e0 + beta * e1),
+        "ll": alpha * g * beta * (beta - 1.0) * (w ** (beta - 2.0) - lam ** (beta - 2.0)),
+    }
+
+
 class TestDerivatives:
     def test_gradient_reference(self, spy_params):
         g = grad_psi(spy_params, 1.0)
@@ -310,6 +348,39 @@ class TestDerivatives:
                     assert np.array_equal(h[r, s], entries[r, s])
                 else:
                     assert np.all(h[r, s] == 0.0)
+
+    @staticmethod
+    def _fused_gap(alpha, beta, lam, w):
+        """Largest gap between _side_derivs and the unfused oracle over the
+        rows, each relative to that row's largest entry."""
+        got = _side_derivs(alpha, beta, lam, w)
+        want = _side_derivs_unfused(alpha, beta, lam, w)
+        return max(np.max(np.abs(got[k] - r)) / np.max(np.abs(r)) for k, r in want.items())
+
+    @pytest.mark.parametrize("law", ["spy_params", "sp500_params", "btc_params"])
+    def test_fused_powers_match_unfused(self, request, law):
+        """w^beta = exp(beta log w), then w^(beta-1) and w^(beta-2) by
+        division, agree with the separate complex powers to within 1e-15 of
+        each row's largest entry, on both tails and over every grid's
+        frequency range."""
+        p = request.getfixturevalue(law)
+        xi = np.concatenate(([0.0], np.geomspace(1e-3, 1e4, 4000)))
+        for alpha, beta, lam, w in (
+            (p.alpha_plus, p.beta_plus, p.lambda_plus, p.lambda_plus - 1j * xi),
+            (p.alpha_minus, p.beta_minus, p.lambda_minus, p.lambda_minus + 1j * xi),
+        ):
+            assert self._fused_gap(alpha, beta, lam, w) <= 1e-15
+
+    @pytest.mark.parametrize("beta", [0.95, 0.8, 0.05, 1e-6, -1e-6, -0.4, -1.5])
+    @pytest.mark.parametrize("lam", [0.05, 1.2407793, 20.0])
+    def test_fused_powers_across_beta(self, beta, lam):
+        """The same comparison across the beta != 0 branch. As beta -> 1,
+        e0 = w^(beta-1) - lam^(beta-1) cancels and 1 - beta digamma(-beta)
+        grows, so the rounding of w^(beta-1), in either formula, shows at a
+        few 1e-14 of the beta-lambda row's largest entry; 1e-13 is the
+        adjoint Hessian's gate."""
+        xi = np.concatenate(([0.0], np.geomspace(1e-3, 1e4, 4000)))
+        assert self._fused_gap(0.6, beta, lam, lam - 1j * xi) <= 1e-13
 
     @given(fd_param_sets, st.floats(0.1, 10.0))
     @settings(max_examples=30, deadline=None)
