@@ -242,10 +242,8 @@ def auto_grid(p: GtsParams, x_lo: float, x_hi: float) -> GridSpec:
     span = 0.5 * width + GRID_PAD * width
     for tol in TAIL_TOL_LADDER:
         xi_max = 64.0
-        while abs(characteristic_function(p, xi_max)) > tol:
+        while xi_max <= 2**22 and abs(characteristic_function(p, xi_max)) > tol:
             xi_max *= 2.0
-            if xi_max > 2**22:
-                break
         if xi_max > 2**22:
             continue
         n = GRID_N_MIN

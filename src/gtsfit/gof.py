@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -188,14 +188,7 @@ def ks_pvalue(d: float, m: int) -> float:
 
 
 def attach_pvalue(report: KsReport) -> KsReport:
-    return KsReport(
-        d_m=report.d_m,
-        m=report.m,
-        sup_at=report.sup_at,
-        component=report.component,
-        components=report.components,
-        p_value=ks_pvalue(report.d_m, report.m),
-    )
+    return replace(report, p_value=ks_pvalue(report.d_m, report.m))
 
 
 class NullSummary(NamedTuple):

@@ -183,68 +183,45 @@ def max_eigenvalue(h) -> float:
     return float(np.linalg.eigvalsh(0.5 * (a + a.T))[-1])
 
 
-def _domain_ok(v: np.ndarray) -> bool:
-    return (
-        v[1] < 1.0
-        and v[2] < 1.0
-        and v[3] >= 0.0
-        and v[4] >= 0.0
-        and v[5] > 0.0
-        and v[6] > 0.0
-        and bool(np.all(np.isfinite(v)))
-    )
-
-
 _EVAL_ERRORS = (DomainError, GridError, LikelihoodError, FloatingPointError, OverflowError)
 
 
 def _try_candidate(v: np.ndarray, y: np.ndarray, ctx: _GridContext):
     """Log-likelihood of a trial point from a density-only batch, preferring
     the pinned grid but regridding to the candidate's own wider grid when its
-    tails need one. Returns (params, ll, context used) or None if unusable."""
-    if not _domain_ok(v):
-        return None
+    tails need one. Returns (params, ll, context used) or None if unusable:
+    outside the parameter domain, or not evaluable on either grid."""
     try:
         p = GtsParams.from_vector(v)
-    except DomainError:
-        return None
-    try:
-        return p, _evaluate(p, y, 1, ctx)[0], ctx
-    except GridError:
-        pass
+        try:
+            return p, _evaluate(p, y, 1, ctx)[0], ctx
+        except GridError:
+            own = _grid_context(p, y)
+            return p, _evaluate(p, y, 1, own)[0], own
     except _EVAL_ERRORS:
         return None
-    try:
-        own = _grid_context(p, y)
-        return p, _evaluate(p, y, 1, own)[0], own
-    except _EVAL_ERRORS:
-        return None
-
-
-def _read_iterate(p: GtsParams, y: np.ndarray):
-    """(context, (ll, score, hess)) of an iterate from the one 36-row batch
-    it gets, on its own auto-chosen grid, so that a trace row restates what
-    a fresh evaluation at the row's params reports."""
-    ctx = _grid_context(p, y)
-    return ctx, _evaluate(p, y, 36, ctx)
 
 
 def fit(data, opts: FitOptions = FitOptions()):
     """Newton iteration on the log-likelihood.
 
     Returns (params, trace, converged). Convergence requires both a score
-    norm below opts.tol_grad and a Hessian top eigenvalue <= 1e-6; hitting
-    max_iter returns converged=False with the full trace, while a state
-    from which no acceptable step exists, or an accepted iterate whose
-    score and Hessian cannot be read on its own grid, raises
-    ConvergenceError carrying the trace so far.
+    norm below opts.tol_grad and a Hessian top eigenvalue <= 1e-6. Once
+    row max_iter is traced, fit returns that row's params with
+    converged=False and takes no further step. A state from which no
+    acceptable step exists, or an accepted iterate whose score and Hessian
+    cannot be read on its own grid, raises ConvergenceError carrying the
+    trace so far; an initial point that cannot be read is a LikelihoodError.
 
     Candidates within one step search are all evaluated on the current
     iterate's grid, so the compared likelihoods share every quadrature
     artifact; only a candidate whose tails that grid cannot hold moves to
     its own wider grid. Without the pinning, a candidate falling across a
     frequency-span doubling boundary sees an objective jump of about 1e-8
-    and a monotone search can reject every step length. The accepted
+    and a monotone search can reject every step length. Such a candidate
+    is compared against the iterate re-read on the candidate's grid; if
+    that read fails with any evaluation error, the reference falls back to
+    the iterate's log-likelihood on the pinned grid. The accepted
     iterate is then read afresh on the grid auto_grid picks for it, which
     becomes the pinned grid of the next search.
 
@@ -258,34 +235,33 @@ def fit(data, opts: FitOptions = FitOptions()):
     if y.size < 50:
         raise DataError("fitting 7 parameters needs at least 50 observations")
     p = opts.init
-    try:
-        ctx, (ll, sc, hess) = _read_iterate(p, y)
-    except _EVAL_ERRORS as exc:
-        raise LikelihoodError(
-            f"likelihood is not evaluable at the initial point: {exc}"
-        ) from exc
     rows = []
     crawl = 0
     for it in range(1, opts.max_iter + 1):
+        try:
+            ctx = _grid_context(p, y)
+            ll, sc, hess = _evaluate(p, y, 36, ctx)
+        except _EVAL_ERRORS as exc:
+            if not rows:
+                raise LikelihoodError(
+                    f"likelihood is not evaluable at the initial point: {exc}"
+                ) from exc
+            raise ConvergenceError(
+                f"accepted iterate unusable on its own grid: {exc}",
+                trace=FitTrace(tuple(rows)),
+            ) from exc
         gn = float(np.linalg.norm(sc))
         me = max_eigenvalue(hess)
         rows.append(TraceRow(it, p, ll, gn, me))
         if gn < opts.tol_grad and me <= _EIG_SLACK:
             return p, FitTrace(tuple(rows)), True
-        if crawl >= _CRAWL_RUNS:
-            return p, FitTrace(tuple(rows)), False
+        if crawl >= _CRAWL_RUNS or it == opts.max_iter:
+            break
         if opts.step_policy == "raw-newton":
             p, lam = _raw_step(p, sc, hess, y, ctx, rows)
         else:
             p, lam = _safeguarded_step(p, ll, sc, hess, gn, me, y, ctx, rows)
         crawl = crawl + 1 if lam <= _CRAWL_LAM else 0
-        try:
-            ctx, (ll, sc, hess) = _read_iterate(p, y)
-        except _EVAL_ERRORS as exc:
-            raise ConvergenceError(
-                f"accepted iterate unusable on its own grid: {exc}",
-                trace=FitTrace(tuple(rows)),
-            ) from exc
     return p, FitTrace(tuple(rows)), False
 
 
@@ -306,7 +282,7 @@ def _line_search(v, step, y, ctx, ll, monotone):
             if ref is None:
                 try:
                     ref = _evaluate(GtsParams.from_vector(v), y, 1, used)[0]
-                except (GridError, LikelihoodError):
+                except _EVAL_ERRORS:
                     ref = ll
                 refs[used.grid] = ref
             if cand_ll >= ref - 1e-9:

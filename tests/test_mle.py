@@ -233,10 +233,22 @@ class TestFit:
         assert converged
         assert len(trace2.rows) <= 2
 
-    def test_iteration_budget_returns_unconverged(self, spy_sample_600):
+    def test_iteration_budget_returns_unconverged(self, monkeypatch, spy_sample_600):
+        """At max_iter the fit returns the last traced iterate, without
+        searching or reading a point that no row records."""
+        levels = []
+        real = mle._field_batch
+
+        def counted(p, grid, level, **kw):
+            levels.append(level)
+            return real(p, grid, level, **kw)
+
+        monkeypatch.setattr(mle, "_field_batch", counted)
         p, trace, converged = fit(spy_sample_600, FitOptions(max_iter=2))
         assert not converged
         assert len(trace.rows) == 2
+        assert p == trace.rows[-1].params
+        assert levels.count(36) == 2
 
     def test_boundary_crawl_exits_early(self, spy_params):
         """Some small samples push beta toward 0 where no affordable grid
@@ -281,6 +293,40 @@ class TestFit:
         monkeypatch.setattr(mle, "_grid_context", no_regrid)
         atom = np.array([0.0, -0.5, -0.5, 0.5, 0.5, 1.0, 1.0])
         assert mle._try_candidate(atom, spy_sample_600, ctx) is None
+
+    @pytest.mark.parametrize(
+        "entry, value",
+        [(1, 1.0), (2, 1.0), (2, -1.0), (3, -0.1), (5, 0.0), (6, np.nan)],
+        ids=["beta_plus=1", "beta_minus=1", "beta_minus=-1", "alpha<0", "lambda=0", "nan"],
+    )
+    def test_candidate_outside_domain_rejected_unread(
+        self, monkeypatch, spy_params, spy_sample_600, entry, value
+    ):
+        ctx = mle._grid_context(spy_params, spy_sample_600)
+
+        def no_read(*args, **kw):
+            raise AssertionError("field batch read")
+
+        monkeypatch.setattr(mle, "_field_batch", no_read)
+        v = spy_params.to_vector()
+        v[entry] = value
+        assert mle._try_candidate(v, spy_sample_600, ctx) is None
+
+    def test_reference_reread_error_falls_back(self):
+        """The iterate re-read on a candidate's own grid can fail with any
+        evaluation error, here the iterate's atom (mass 1.04e-12) against
+        the candidate's 1e-12 rung; the search then compares against ll."""
+        y = np.linspace(-3, 3, 200)
+        p = GtsParams(0, -0.34, -0.44, 12.0, 1.06, 1.77, 1.77)
+        q = GtsParams(0, 0.12, -0.44, 1.47, 1.06, 1.77, 1.77)
+        ctx = mle._grid_context(p, y)
+        assert ctx.grid.tail_tol == 1e-11
+        assert mle._grid_context(q, y).grid.tail_tol == 1e-12
+        ll = mle._evaluate(p, y, 1, ctx)[0]
+        v = p.to_vector()
+        got, lam = mle._line_search(v, v - q.to_vector(), y, ctx, ll, True)
+        assert lam == 1.0
+        np.testing.assert_allclose(got.to_vector(), q.to_vector(), rtol=1e-12)
 
     def test_options_validated(self):
         with pytest.raises(DomainError):
