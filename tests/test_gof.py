@@ -4,6 +4,8 @@ scipy.stats.kstwo is an independent implementation of the finite-sample KS
 law and is used as the oracle for the matrix-power recursion here.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -94,6 +96,61 @@ class TestKsStatistic:
         assert rep.d_m == pytest.approx(0.3, rel=1e-12) and rep.m == 3
 
 
+def durbin_full_matrix(d, m):
+    """P(D_m <= d) by Durbin's recursion with the whole matrix power kept:
+    every set bit of m multiplies the full running product. Test-only
+    oracle for ks_exact_cdf, which carries a single row of it."""
+    if d * m <= 0.5:
+        return 0.0
+    if d >= 1.0:
+        return 1.0
+    k = math.ceil(d * m)
+    h = k - d * m
+    size = 2 * k - 1
+    inv_fact = np.zeros(size + 2)
+    inv_fact[0] = 1.0
+    for i in range(1, size + 2):
+        inv_fact[i] = inv_fact[i - 1] / i
+    i = np.arange(size)
+    p = i[:, None] - i[None, :] + 1
+    tri = np.where(p >= 0, inv_fact[np.maximum(p, 0)], 0.0)
+    for i in range(size):
+        tri[i, 0] -= h ** (i + 1) * inv_fact[i + 1]
+        tri[size - 1, i] -= h ** (size - i) * inv_fact[size - i]
+    tri[size - 1, 0] += max(2.0 * h - 1.0, 0.0) ** size * inv_fact[size]
+    result, er = None, 0
+    base, eb = tri, 0
+    n = m
+    while n:
+        if n & 1:
+            if result is None:
+                result, er = base.copy(), eb
+            else:
+                result, er = gof._rescale(result @ base, er + eb)
+        n >>= 1
+        if n:
+            base, eb = gof._rescale(base @ base, 2 * eb)
+    val = result[k - 1, k - 1]
+    if val <= 0.0:
+        return 0.0
+    lv = math.log(val) + er * math.log(2.0) + math.lgamma(m + 1) - m * math.log(m)
+    return min(1.0, math.exp(lv))
+
+
+def _oracle_grid():
+    """(d, m) pairs with d m just above an integer, with h = k - d m just
+    either side of 1/2, and at generic points."""
+    for m in (1, 2, 7, 3046, 3048):
+        ks = [1, 2, 3, 5] if m < 10 else [20, 61, 95, 150]
+        for k in ks:
+            if k > m:
+                continue
+            for dm in (k - 1 + 1e-9, k - 1 + 1e-3, k - 0.5 - 1e-9,
+                       k - 0.5 + 1e-9, k - 0.3, k - 1e-9):
+                if dm > 0.5:
+                    yield dm / m, m
+
+
 class TestExactKsDistribution:
     def test_single_sample_closed_form(self):
         # P(D_1 <= d) = 2d - 1 on [1/2, 1]
@@ -124,6 +181,11 @@ class TestExactKsDistribution:
         with pytest.raises(DomainError):
             ks_exact_cdf(0.1, 0)
 
+    @pytest.mark.parametrize("d,m", list(_oracle_grid()))
+    def test_row_power_matches_full_matrix_power(self, d, m):
+        want = durbin_full_matrix(d, m)
+        assert ks_exact_cdf(d, m) == pytest.approx(want, rel=1e-14, abs=0.0)
+
     def test_pvalue_complements_cdf(self):
         assert ks_pvalue(0.15, 30) == pytest.approx(
             1.0 - ks_exact_cdf(0.15, 30), rel=1e-14
@@ -131,12 +193,13 @@ class TestExactKsDistribution:
 
 
 class TestNullSummary:
-    @pytest.mark.parametrize("m", [30, 500])
+    @pytest.mark.parametrize("m", [2, 3, 5, 10, 30, 100, 500])
     def test_against_scipy_kstwo_moments(self, m):
         ns = ks_null_summary(m)
         ref = scipy.stats.kstwo(m)
-        assert ns.mean == pytest.approx(ref.mean(), abs=1e-6)
-        assert ns.sd == pytest.approx(ref.std(), abs=1e-6)
+        mean, var = ref.stats(moments="mv")
+        assert ns.mean == pytest.approx(mean, abs=1e-6)
+        assert ns.sd == pytest.approx(math.sqrt(var), abs=1e-6)
         assert ns.critical_d == pytest.approx(ref.ppf(0.95), abs=1e-6)
 
     def test_paper_size_stays_below_massart_cut(self, monkeypatch):
@@ -157,6 +220,31 @@ class TestNullSummary:
         assert ns.mean == pytest.approx(ref.mean(), abs=1e-7)
         assert ns.sd == pytest.approx(ref.std(), abs=1e-7)
         assert ns.critical_d == pytest.approx(ref.isf(0.05), abs=1e-7)
+
+    def test_paper_size_gauss_legendre(self, monkeypatch):
+        """At m = 3048 the panelled Gauss-Legendre summary matches kstwo to
+        1e-9 in 70 exact-CDF reads or fewer, none beyond the tail-integral
+        cut, so the Durbin matrix order stays at 385 or less."""
+        m = 3048
+        seen = []
+        real = gof.ks_exact_cdf
+
+        def recorded(d, m):
+            seen.append(d)
+            return real(d, m)
+
+        monkeypatch.setattr(gof, "ks_exact_cdf", recorded)
+        ns = ks_null_summary(m)
+        ref = scipy.stats.kstwo(m)
+        mean, var = ref.stats(moments="mv")
+        assert ns.mean == pytest.approx(mean, abs=1e-9)
+        assert ns.sd == pytest.approx(math.sqrt(var), abs=1e-9)
+        assert ns.critical_d == pytest.approx(ref.isf(0.05), abs=1e-7)
+        assert len(seen) <= 70
+        d_max = max(seen)
+        # Massart's bound integrated beyond d_max is still above 1e-13
+        assert math.exp(-2.0 * m * d_max**2) / (2.0 * m * d_max) > 1e-13
+        assert 2 * math.ceil(d_max * m) - 1 <= 385
 
     def test_critical_value_hits_alpha(self):
         ns = ks_null_summary(200, alpha=0.1)
@@ -209,7 +297,7 @@ class TestDeriveSampleSize:
 
     def test_floor_respected(self):
         # 2/4 = 4/8: the floor pushes past the smaller consistent size
-        assert derive_sample_size([0.5, 1.0], floor=5) == 6 or True
+        assert derive_sample_size([0.5, 1.0], floor=5) == 6
         assert derive_sample_size([0.5, 1.0], floor=5) >= 5
 
     def test_irrational_column_fails(self):
