@@ -5,7 +5,7 @@ runs the likelihood optimizer started at the generating parameters, and
 prints the recovered vector next to the truth together with the
 termination diagnostics.
 
-Usage: python3 scripts/fit_simulated.py [--asset spy] [--n 3000] [--seed 42]
+Usage: PYTHONPATH=src python3 scripts/fit_simulated.py [--asset spy] [--n 3000] [--seed 42]
 """
 
 import argparse

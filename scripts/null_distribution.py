@@ -4,7 +4,7 @@ Prints the mean, standard deviation, and upper critical value of D_m under
 the null for the requested sample size, from the exact CDF rather than the
 asymptotic limit.
 
-Usage: python3 scripts/null_distribution.py 3048 [--alpha 0.05]
+Usage: PYTHONPATH=src python3 scripts/null_distribution.py 3048 [--alpha 0.05]
 """
 
 import argparse

@@ -5,12 +5,14 @@ implied by the fitted tempered-stable parameters, and the KS comparison of
 the fitted model and the gaussian baseline against the binned empirical
 CDF. Ends with the recentering of the crypto fit to its sample mean.
 
-Usage: python3 scripts/reproduce_tables.py
+Usage: PYTHONPATH=src python3 scripts/reproduce_tables.py
 """
 
 import json
 import math
 from pathlib import Path
+
+import numpy as np
 
 import gtsfit
 from gtsfit import gof
@@ -33,7 +35,8 @@ def load_gts(name: str) -> GtsParams:
 
 
 def gaussian_cdf(mu: float, sigma: float, scale: float):
-    return lambda x: 0.5 * (1.0 + math.erf((x * scale - mu) / (sigma * math.sqrt(2.0))))
+    erf = np.vectorize(math.erf, otypes=[float])
+    return lambda x: 0.5 * (1.0 + erf((x * scale - mu) / (sigma * math.sqrt(2.0))))
 
 
 def main() -> None:
@@ -65,7 +68,9 @@ def main() -> None:
         table = gof.load_cdf_table(FIXTURES / f"{name}_cdf.csv")
         emp = table.empirical()
         lookup = dict(zip(table.x, table.f_model))
-        fitted = gof.attach_pvalue(gof.ks_statistic(lambda x: lookup[x], emp))
+        fitted = gof.attach_pvalue(
+            gof.ks_statistic(np.vectorize(lookup.__getitem__, otypes=[float]), emp)
+        )
         print(f"{name:8} {'gts':6} {fitted.d_m:10.7f} {fitted.p_value:10.4%}")
         with open(FIXTURES / f"gbm_{name}.json") as fh:
             gb = json.load(fh)

@@ -144,9 +144,10 @@ def _init_vector(text: str) -> GtsParams:
 
 
 def _model_cdf(p, x_lo: float, x_hi: float):
-    """Callable CDF over [x_lo, x_hi] for either model."""
+    """CDF over [x_lo, x_hi] for either model, read on arrays of points."""
     if isinstance(p, GbmParams):
-        return lambda x: 0.5 * (1.0 + math.erf((x - p.mu) / (p.sigma * math.sqrt(2.0))))
+        erf = np.vectorize(math.erf, otypes=[float])
+        return lambda x: 0.5 * (1.0 + erf((x - p.mu) / (p.sigma * math.sqrt(2.0))))
     field = cdf_field(p, auto_grid(p, x_lo, x_hi))
     return lambda x: interpolate(field, x)
 
@@ -203,7 +204,7 @@ def cmd_gof(args) -> int:
             )
         if args.use_table_model:
             lookup = dict(zip(table.x, table.f_model))
-            model = lambda x: lookup[x]
+            model = np.vectorize(lookup.__getitem__, otypes=[float])
         elif args.params:
             p = params_from_json(args.params)
             model = _model_cdf(p, float(emp.edges[0]), float(emp.edges[-1]))
@@ -288,7 +289,7 @@ def cmd_plot(args) -> int:
     emp = counts / (y.size * widths)
     centers = 0.5 * (edges[:-1] + edges[1:])
     dens = density_field(p, auto_grid(p, float(y.min()), float(y.max())))
-    gts_d = np.asarray([interpolate(dens, c) for c in centers])
+    gts_d = interpolate(dens, centers)
     z = (centers - gbm.mu) / gbm.sigma
     gbm_d = np.exp(-0.5 * z * z) / (gbm.sigma * math.sqrt(2.0 * math.pi))
     csv_path = _outpath(args.out_csv)

@@ -54,7 +54,7 @@ class EmpiricalDistribution:
 
     @classmethod
     def from_samples(cls, samples) -> "EmpiricalDistribution":
-        x = np.sort(np.asarray(samples, dtype=float))
+        x = np.asarray(samples, dtype=float)
         if x.size == 0:
             raise DataError("empty sample")
         edges, counts = np.unique(x, return_counts=True)
@@ -109,8 +109,11 @@ class KsReport:
 
 
 def ks_statistic(cdf: Callable, e: EmpiricalDistribution) -> KsReport:
-    """Two-term sup over the edges of e; cdf must cover every edge."""
-    vals = np.asarray([float(cdf(x)) for x in e.edges])
+    """Two-term sup over the edges of e.
+
+    cdf is called once, with the array e.edges, and must return the model
+    CDF at every edge as an array of the same shape."""
+    vals = np.asarray(cdf(e.edges), dtype=float)
     at_edge = np.abs(vals - e.step_values())
     pre_jump = np.abs(vals - e.pre_jump_values())
     i_at = int(np.argmax(at_edge))

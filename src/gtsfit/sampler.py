@@ -1,11 +1,13 @@
 """Inverse-CDF sampling from the numerically inverted distribution.
 
 Uniform variates come from xoshiro256** (Blackman-Vigna), seeded through
-splitmix64; both generators are written out here so every seeded constant
-in the tests is reproducible from this file alone. Draws are produced in
-fixed chunks of 65536 with per-chunk generator states derived from the
-master seed by consecutive splitmix64 outputs, so a parallel implementation
-partitioned on those chunks would emit the identical stream.
+splitmix64; both are written out here, in `_splitmix64` and the loop of
+`uniforms`, so every seeded constant in the tests is reproducible from this
+file alone. Draws are produced in fixed chunks of 65536. Chunk c starts
+from the state of four splitmix64 outputs seeded by the c-th splitmix64
+output of the master seed, so a parallel implementation partitioned on
+those chunks would emit the identical stream. A uniform is the top 53 bits
+of a xoshiro256** output times 2^-53, in [0, 1).
 
 Each uniform u is mapped through the monotone-repaired CDF field: binary
 search over the node values brackets u in one grid cell, then bisection on
@@ -33,70 +35,40 @@ _CHUNK = 65536
 COVERAGE_TOL = 1e-6
 
 
-def _splitmix64(state: int):
-    """One splitmix64 step: returns (new_state, output)."""
-    state = (state + 0x9E3779B97F4A7C15) & _MASK
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return state, z ^ (z >> 31)
-
-
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK
-
-
-class Xoshiro256StarStar:
-    """xoshiro256** 1.0; state seeded by four splitmix64 outputs."""
-
-    def __init__(self, seed: int):
-        s = int(seed) & _MASK
-        words = []
-        for _ in range(4):
-            s, out = _splitmix64(s)
-            words.append(out)
-        if not any(words):
-            words[0] = 1
-        self._s = words
-
-    def next_raw(self) -> int:
-        s0, s1, s2, s3 = self._s
-        result = (_rotl((s1 * 5) & _MASK, 7) * 9) & _MASK
-        t = (s1 << 17) & _MASK
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
-        return result
-
-    def uniform(self) -> float:
-        """53-bit mantissa double in [0, 1)."""
-        return (self.next_raw() >> 11) * 2.0**-53
-
-
-def _chunk_seeds(seed: int, count: int):
-    s = int(seed) & _MASK
+def _splitmix64(state: int, count: int) -> list:
+    """count consecutive splitmix64 outputs from a 64-bit state."""
+    s = int(state) & _MASK
     out = []
     for _ in range(count):
-        s, val = _splitmix64(s)
-        out.append(val)
+        s = (s + 0x9E3779B97F4A7C15) & _MASK
+        z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        out.append(z ^ (z >> 31))
     return out
 
 
 def uniforms(seed: int, n: int) -> np.ndarray:
     """n deterministic uniforms in chunks of 65536 (module docstring)."""
-    chunks = (n + _CHUNK - 1) // _CHUNK
+    if n < 0:
+        raise DomainError(f"uniform count must be >= 0, got {n}")
     out = np.empty(n)
-    pos = 0
-    for cs in _chunk_seeds(seed, chunks):
-        gen = Xoshiro256StarStar(cs)
-        take = min(_CHUNK, n - pos)
-        for i in range(take):
-            out[pos + i] = gen.uniform()
-        pos += take
+    for start, chunk_seed in zip(range(0, n, _CHUNK), _splitmix64(seed, -(-n // _CHUNK))):
+        s0, s1, s2, s3 = _splitmix64(chunk_seed, 4)
+        if not (s0 or s1 or s2 or s3):
+            s0 = 1
+        for i in range(start, min(start + _CHUNK, n)):
+            r = (s1 * 5) & _MASK
+            out[i] = ((((r << 7) | (r >> 57)) * 9) & _MASK) >> 11
+            t = (s1 << 17) & _MASK
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK
+    # each output >> 11 is below 2^53, so it is stored exactly and the
+    # power-of-two scale leaves the 53 bits unchanged
+    out *= 2.0**-53
     return out
 
 

@@ -43,7 +43,7 @@ GBM_UNIT_SCALE = {"sp500": 1.0, "spy": 1.0, "btc": 10.0}
 
 def _table_model(table):
     lookup = dict(zip(table.x, table.f_model))
-    return lambda x: lookup[x]
+    return np.vectorize(lookup.__getitem__, otypes=[float])
 
 
 def test_criterion_01_moment_cells(sp500_params, spy_params, btc_recentered_params):
@@ -139,8 +139,9 @@ def test_criterion_05_exact_pvalues(fixtures_dir):
         with open(fixtures_dir / f"gbm_{name}.json") as fh:
             gb = json.load(fh)
         scale = GBM_UNIT_SCALE[name]
+        erf = np.vectorize(math.erf, otypes=[float])
         gauss = lambda x: 0.5 * (
-            1.0 + math.erf((x * scale - gb["mu"]) / (gb["sigma"] * math.sqrt(2.0)))
+            1.0 + erf((x * scale - gb["mu"]) / (gb["sigma"] * math.sqrt(2.0)))
         )
         gbm_rep = gof.attach_pvalue(gof.ks_statistic(gauss, emp))
         assert abs(gbm_rep.d_m - KS_CELLS[name][2]) <= 1e-7

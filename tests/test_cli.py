@@ -186,6 +186,16 @@ class TestGof:
         assert doc["component"] in ("at_edge", "pre_jump")
         assert max(doc["components"]) == doc["d_m"]
 
+    def test_raw_returns_against_gbm_params(self, tmp_path, gbm_json, spy_sample_600, capsys):
+        from scipy import stats
+
+        r = write_returns(tmp_path / "r.csv", spy_sample_600)
+        assert cli.main(["gof", str(r), "--params", gbm_json]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        gb = json.loads(Path(gbm_json).read_text())
+        ref = stats.kstest(spy_sample_600, stats.norm(gb["mu"], gb["sigma"]).cdf)
+        assert abs(doc["d_m"] - ref.statistic) <= 1e-12
+
     def test_binned_table_model_column(self, fixtures_dir, capsys):
         rc = cli.main(
             ["gof", str(fixtures_dir / "spy_cdf.csv"), "--binned", "--use-table-model"]
@@ -232,6 +242,13 @@ class TestSimulate:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "sample"
         assert len(lines) == 6
+
+    def test_stdout_matches_out_file(self, tmp_path, spy_json, capsys):
+        path = tmp_path / "draws.csv"
+        argv = ["simulate", "--params", spy_json, "--n", "70", "--seed", "3"]
+        assert cli.main(argv + ["--out", str(path)]) == 0
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.encode() == path.read_bytes()
 
     def test_gbm_params_rejected(self, gbm_json):
         assert cli.main(["simulate", "--params", gbm_json, "--n", "5", "--seed", "1"]) == 2

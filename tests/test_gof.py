@@ -89,6 +89,18 @@ class TestKsStatistic:
         assert rep.component == "pre_jump"
         assert rep.d_m == pytest.approx(0.9, rel=1e-12)
 
+    def test_model_cdf_read_once_on_the_edges(self):
+        e = EmpiricalDistribution.from_samples([0.1, 0.4, 0.7])
+        calls = []
+
+        def cdf(x):
+            calls.append(np.array(x, copy=True))
+            return x
+
+        ks_statistic(cdf, e)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], e.edges)
+
     def test_attach_pvalue_round_trip(self):
         e = EmpiricalDistribution.from_samples([0.1, 0.4, 0.7])
         rep = attach_pvalue(ks_statistic(lambda x: x, e))

@@ -6,13 +6,48 @@ import pytest
 from gtsfit.errors import DomainError, GridError
 from gtsfit.frft import auto_grid, cdf_field, interpolate
 from gtsfit.model import GtsParams, cumulant
-from gtsfit.sampler import (
-    SampleConfig,
-    Xoshiro256StarStar,
-    sample_gts,
-    samples_to_csv,
-    uniforms,
-)
+from gtsfit.sampler import SampleConfig, sample_gts, samples_to_csv, uniforms
+
+MASK = (1 << 64) - 1
+CHUNK = 65536
+
+
+def np_splitmix64(state, count):
+    """count splitmix64 outputs from each uint64 state: shape (count, states)."""
+    s = np.array(state, dtype=np.uint64)
+    out = np.empty((count, s.size), dtype=np.uint64)
+    for i in range(count):
+        s = s + np.uint64(0x9E3779B97F4A7C15)
+        z = (s ^ (s >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        out[i] = z ^ (z >> np.uint64(31))
+    return out
+
+
+def np_rotl(x, k):
+    return (x << np.uint64(k)) | (x >> np.uint64(64 - k))
+
+
+def oracle_uniforms(seeds, n):
+    """Test-only reference: {seed: n uniforms}, every chunk of every seed
+    stepped in lock-step as numpy uint64 lanes (wrapping arithmetic)."""
+    chunks = -(-n // CHUNK)
+    chunk_seeds = np_splitmix64([s & MASK for s in seeds], chunks).T.ravel()
+    s0, s1, s2, s3 = np_splitmix64(chunk_seeds, 4)
+    s0[(s0 | s1 | s2 | s3) == 0] = 1
+    raw = np.empty((CHUNK, chunk_seeds.size), dtype=np.uint64)
+    for i in range(CHUNK):
+        raw[i] = np_rotl(s1 * np.uint64(5), 7) * np.uint64(9)
+        t = s1 << np.uint64(17)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = np_rotl(s3, 45)
+    u = (raw >> np.uint64(11)).astype(float) * 2.0**-53
+    lanes = u.T.reshape(len(seeds), chunks * CHUNK)
+    return {seed: lane[:n] for seed, lane in zip(seeds, lanes)}
 
 
 class TestUniforms:
@@ -39,9 +74,19 @@ class TestUniforms:
         assert u.var() == pytest.approx(1.0 / 12.0, abs=0.005)
 
     def test_generator_zero_state_guard(self):
-        gen = Xoshiro256StarStar(0)
-        vals = {gen.next_raw() for _ in range(8)}
-        assert len(vals) == 8
+        assert len(set(uniforms(0, 8))) == 8
+
+    def test_equals_numpy_oracle_bit_for_bit(self):
+        sizes = (1, 65535, 65536, 65537, 131073)
+        seeds = (0, 7, 2**64 + 5, -3)
+        ref = oracle_uniforms(seeds, max(sizes))
+        for seed in seeds:
+            for n in sizes:
+                assert np.array_equal(uniforms(seed, n), ref[seed][:n]), (seed, n)
+
+    def test_negative_count_is_domain_error(self):
+        with pytest.raises(DomainError, match="count"):
+            uniforms(1, -1)
 
 
 class TestSampleGts:
