@@ -317,9 +317,7 @@ def cmd_simulate(args) -> int:
     if args.out:
         sampler.samples_to_csv(draws, _outpath(args.out))
     else:
-        sys.stdout.write("sample\n")
-        for v in draws:
-            sys.stdout.write(f"{v:.17g}\n")
+        sampler._write_samples(sys.stdout, draws)
     return 0
 
 

@@ -14,6 +14,11 @@ search over the node values brackets u in one grid cell, then bisection on
 the same four-point cubic interpolant used by field reads solves
 F(x) = u inside the cell. Because the forward read and the inversion share
 one interpolant, F(x_i) returns u_i to well below 1e-6.
+
+The inversion and the CSV writer both stream in blocks of _BLOCK = 8192
+draws, so their temporaries stay cache-sized and their memory does not
+grow with the sample count beyond the output itself. A draw depends only
+on its own uniform, so the blocks change no bit of any draw.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ from .model import GtsParams, cumulant
 _MASK = (1 << 64) - 1
 
 _CHUNK = 65536
+
+_BLOCK = 8192
 
 COVERAGE_TOL = 1e-6
 
@@ -101,25 +108,62 @@ def _default_cdf(p: GtsParams) -> Field:
 
 def _invert(field: Field, u: np.ndarray) -> np.ndarray:
     """Solve F(x) = u per point: node-level bracket, then bisection on the
-    cell's cubic interpolant (the same stencil interpolate() reads)."""
+    cell's cubic interpolant (the same stencil interpolate() reads), one
+    block of _BLOCK uniforms at a time."""
     grid = field.grid
     f = field.values
-    cell = np.clip(np.searchsorted(f, u, side="left") - 1, 2, grid.n - 4)
-    stencil = np.stack([f[cell - 1], f[cell], f[cell + 1], f[cell + 2]])
-    lo = np.zeros(u.size)
-    hi = np.ones(u.size)
-    for _ in range(60):
-        t = 0.5 * (lo + hi)
-        w0 = -t * (t - 1.0) * (t - 2.0) / 6.0
-        w1 = (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0
-        w2 = -(t + 1.0) * t * (t - 2.0) / 2.0
-        w3 = (t + 1.0) * t * (t - 1.0) / 6.0
-        val = stencil[0] * w0 + stencil[1] * w1 + stencil[2] * w2 + stencil[3] * w3
-        below = val < u
-        lo = np.where(below, t, lo)
-        hi = np.where(below, hi, t)
-    t = 0.5 * (lo + hi)
-    return grid.x_nodes()[cell] + t * grid.dx
+    x_nodes = grid.x_nodes()
+    out = np.empty(u.size)
+    for s in range(0, u.size, _BLOCK):
+        ub = u[s : s + _BLOCK]
+        cell = np.clip(np.searchsorted(f, ub, side="left") - 1, 2, grid.n - 4)
+        f0, f1, f2, f3 = f[cell - 1], f[cell], f[cell + 1], f[cell + 2]
+        lo = np.zeros(ub.size)
+        hi = np.ones(ub.size)
+        t, a, b, c, w, val, below = np.empty((7, ub.size))
+        for _ in range(60):
+            # interpolate()'s weights, with a, b, c = t - 1, t - 2, t + 1:
+            # w0 = -t a b / 6, w1 = c a b / 2, w2 = -c t b / 2, w3 = c t a / 6,
+            # and val = f0 w0 + f1 w1 + f2 w2 + f3 w3 summed left to right.
+            # Moving the signs of w0 and w2 onto the sums, reusing c t and
+            # taking / 2 as * 0.5 are exact, so val is bit-equal to that form.
+            np.add(lo, hi, out=t)
+            t *= 0.5
+            np.subtract(t, 1.0, out=a)
+            np.subtract(t, 2.0, out=b)
+            np.add(t, 1.0, out=c)
+            np.multiply(t, a, out=w)
+            w *= b
+            w /= 6.0
+            np.multiply(f0, w, out=val)
+            np.multiply(c, a, out=w)
+            w *= b
+            w *= 0.5
+            w *= f1
+            np.subtract(w, val, out=val)
+            c *= t
+            np.multiply(c, b, out=w)
+            w *= 0.5
+            w *= f2
+            val -= w
+            np.multiply(c, a, out=w)
+            w /= 6.0
+            w *= f3
+            val += w
+            # lo = t where val < u, else hi = t. As 0 <= lo <= t <= hi <= 1,
+            # max(lo, t [val < u]) and min(hi, t + 2 [val < u]) pick the same
+            # bits without the branch a masked copy mispredicts on random u.
+            np.less(val, ub, out=below)
+            np.multiply(t, below, out=w)
+            np.maximum(lo, w, out=lo)
+            np.add(below, below, out=w)
+            w += t
+            np.minimum(hi, w, out=hi)
+        np.add(lo, hi, out=t)
+        t *= 0.5
+        t *= grid.dx
+        np.add(x_nodes[cell], t, out=out[s : s + ub.size])
+    return out
 
 
 def sample_gts(p: GtsParams, cfg: SampleConfig) -> np.ndarray:
@@ -138,9 +182,17 @@ def sample_gts(p: GtsParams, cfg: SampleConfig) -> np.ndarray:
     return _invert(field, u)
 
 
+def _write_samples(fh, samples) -> None:
+    """The one-column CSV, formatted and written one block of _BLOCK draws
+    at a time (a whole-file string would cost its size in memory again)."""
+    a = np.asarray(samples, dtype=float)
+    fh.write("sample\n")
+    for s in range(0, a.size, _BLOCK):
+        rows = a[s : s + _BLOCK].tolist()
+        fh.write(("%.17g\n" * len(rows)) % tuple(rows))
+
+
 def samples_to_csv(samples, path) -> None:
     """One-column CSV with a header row."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("sample\n")
-        for v in np.asarray(samples, dtype=float):
-            fh.write(f"{v:.17g}\n")
+        _write_samples(fh, samples)

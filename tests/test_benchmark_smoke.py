@@ -1,8 +1,10 @@
 """One short benchmark run ends with its result line.
 
 The benchmark's contract is that the last line of standard output is the
-result JSON. This runs one second of the `fit_spy` workload from the
-checkout and reads that line; it does not modify perfbench/.
+result JSON. This runs one second of a workload from the checkout and reads
+that line; it does not modify perfbench/. `fit_spy` runs the Newton fit;
+`validate` runs `gof` and `simulate`, whose draws the benchmark checks
+against its own uniform stream and the model CDF.
 """
 
 import json
@@ -11,13 +13,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_fit_spy_run_ends_with_a_correct_result():
+@pytest.mark.parametrize("workload", ["fit_spy", "validate"])
+def test_run_ends_with_a_correct_result(workload):
     argv = [
         sys.executable, "perfbench/run.py",
-        "--workload", "fit_spy", "--seed", "1", "--seconds", "1", "--trace", "0",
+        "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "0",
     ]
     done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr[-2000:]

@@ -1,12 +1,23 @@
 """Deterministic uniforms and inverse-CDF sampling."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gtsfit.errors import DomainError, GridError
 from gtsfit.frft import auto_grid, cdf_field, interpolate
 from gtsfit.model import GtsParams, cumulant
-from gtsfit.sampler import SampleConfig, sample_gts, samples_to_csv, uniforms
+from gtsfit.sampler import (
+    SampleConfig,
+    _default_cdf,
+    _invert,
+    _write_samples,
+    sample_gts,
+    samples_to_csv,
+    uniforms,
+)
 
 MASK = (1 << 64) - 1
 CHUNK = 65536
@@ -48,6 +59,34 @@ def oracle_uniforms(seeds, n):
     u = (raw >> np.uint64(11)).astype(float) * 2.0**-53
     lanes = u.T.reshape(len(seeds), chunks * CHUNK)
     return {seed: lane[:n] for seed, lane in zip(seeds, lanes)}
+
+
+def oracle_invert(field, u):
+    """Test-only reference: the whole-array bisection, every temporary as
+    long as u, the cubic weights written out as interpolate() has them."""
+    grid = field.grid
+    f = field.values
+    cell = np.clip(np.searchsorted(f, u, side="left") - 1, 2, grid.n - 4)
+    stencil = np.stack([f[cell - 1], f[cell], f[cell + 1], f[cell + 2]])
+    lo = np.zeros(u.size)
+    hi = np.ones(u.size)
+    for _ in range(60):
+        t = 0.5 * (lo + hi)
+        w0 = -t * (t - 1.0) * (t - 2.0) / 6.0
+        w1 = (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0
+        w2 = -(t + 1.0) * t * (t - 2.0) / 2.0
+        w3 = (t + 1.0) * t * (t - 1.0) / 6.0
+        val = stencil[0] * w0 + stencil[1] * w1 + stencil[2] * w2 + stencil[3] * w3
+        below = val < u
+        lo = np.where(below, t, lo)
+        hi = np.where(below, hi, t)
+    t = 0.5 * (lo + hi)
+    return grid.x_nodes()[cell] + t * grid.dx
+
+
+@pytest.fixture(scope="module")
+def spy_cdf(spy_params):
+    return _default_cdf(spy_params)
 
 
 class TestUniforms:
@@ -132,11 +171,39 @@ class TestSampleGts:
         assert np.max(np.abs(x)) < 40.0
 
 
+class TestInvert:
+    @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 70000])
+    def test_equals_whole_array_oracle_bit_for_bit(self, spy_cdf, n):
+        """Blocks of 8192 end inside, at and past these sizes; the ends of
+        [0, 1) take the clipped first and last cells."""
+        u = uniforms(17, n)
+        u[0] = 0.0
+        u[-1] = 1.0 - 2.0**-53
+        got = _invert(spy_cdf, u)
+        assert np.array_equal(got.view(np.uint64), oracle_invert(spy_cdf, u).view(np.uint64))
+
+    def test_peak_memory_independent_of_block_count(self, spy_cdf):
+        """262144 draws: the 2 MB output plus one block's temporaries. A
+        whole-array bisection holds a dozen 2 MB temporaries at once."""
+        u = uniforms(3, 262144)
+        tracemalloc.start()
+        try:
+            _invert(spy_cdf, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
+
+
 class TestSamplesCsv:
-    def test_header_and_round_trip(self, tmp_path):
-        vals = np.array([0.5, -1.25, 3.0])
-        path = tmp_path / "draws.csv"
-        samples_to_csv(vals, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "sample"
-        assert np.array_equal(np.array(lines[1:], dtype=float), vals)
+    def test_header_and_round_trip(self, tmp_path, capsys):
+        """Three draws, and 8193 that end one row into a second block;
+        17 significant digits give back every float64 exactly."""
+        for vals in (np.array([0.5, -1.25, 3.0]), uniforms(5, 8193) - 0.5):
+            path = tmp_path / "draws.csv"
+            samples_to_csv(vals, path)
+            lines = path.read_text().splitlines()
+            assert lines[0] == "sample"
+            assert np.array_equal(np.array(lines[1:], dtype=float), vals)
+            _write_samples(sys.stdout, vals)
+            assert capsys.readouterr().out.encode() == path.read_bytes()
