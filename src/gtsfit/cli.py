@@ -140,7 +140,12 @@ def _init_vector(text: str) -> GtsParams:
     parts = [s for s in text.replace(",", " ").split() if s]
     if len(parts) != 7:
         raise argparse.ArgumentTypeError("init needs 7 comma-separated values")
-    return GtsParams(*(float(s) for s in parts))
+    try:
+        return GtsParams(*(float(s) for s in parts))
+    except ValueError as exc:
+        # a DomainError is a ValueError; argparse would replace either's
+        # text by "invalid _init_vector value"
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _model_cdf(p, x_lo: float, x_hi: float):

@@ -1,7 +1,7 @@
 """Density, CDF, and parameter-derivative fields by Fourier inversion.
 
-Every field is the real inversion integral (1/2pi) int S(xi) e^{-i x xi} d xi
-of a Hermitian spectrum S (S(-xi) = conj S(xi)): the characteristic function
+Every field is the real inversion integral (1/2pi) int G(xi) e^{-i x xi} d xi
+of a Hermitian spectrum G (G(-xi) = conj G(xi)): the characteristic function
 Phi for the density, Phi times a Psi-derivative polynomial for the
 parameter gradients and curvatures, and Phi/(i xi) for the CDF. It is
 evaluated on the x nodes x_k = x_center + (k - n/2) dx by the trapezoid rule
@@ -16,6 +16,18 @@ spectrum filled up to pi/dx) lets a heavy left tail alias onto the right end
 of the window: 6.4e-10 relative in the density at the data points of a spy
 fit, 1.6e-9 in its log-likelihood.
 
+Every row is built on one phased spectrum per batch,
+
+    S_j = Phi(xi_j) e^{-i x_{n-1} xi_j} / dx = exp(re_j + i im_j),
+    re_j = -log dx + Re Psi(xi_j),   im_j = Im Psi(xi_j) - x_{n-1} xi_j,
+
+taken in real arithmetic (model.phased_cf: per tail a real log1p, arctan,
+expm1 and one sin/cos pair, then one real exp and one cos/sin pair per
+node). The factor e^{-i x_{n-1} xi_j} makes irfft output q the field at
+x_{n-1-q}, and 1/dx is the quadrature's scale (h / 2 pi) N. A row whose
+spectrum is Phi times a polynomial P in the psi_jet rows is inverted as
+P_j S_j, and the CDF row as S_j / (i xi_j).
+
 The likelihood Hessian needs the curvature rows f_rs only through the sums
 sum_i f_rs(x_i) / f(x_i) over the sample. The map from a spectrum row S to
 its values at the sample points (the irfft window, then the 4-point
@@ -26,11 +38,11 @@ V = rfft(v). Since irfft(Y)[q] = (1/N) sum_j c_j Re(Y_j e^{2 pi i j q/N}),
 with c_0 = c_{N/2} = 1 and c_j = 2 otherwise,
 
     sum_i u_i f_rs(x_i) = Re sum_j B_j (dPsi_r dPsi_s + d2Psi_rs)_j,
-    B_j = c_j conj(V_j) phase_j Phi_j / N,
+    B_j = c_j conj(V_j) S_j / N.
 
-phase_j being _phase's factor. That is the same quadrature summed in the
-other order, so it is exact to rounding: one forward FFT and dot products
-with the psi_jet rows replace 28 inverse FFTs.
+That is the same quadrature summed in the other order, so it is exact to
+rounding: one forward FFT and dot products with the psi_jet rows replace 28
+inverse FFTs.
 
 frft() remains as the general-a fractional Fourier transform by the
 chirp-z decomposition (three length-2n FFTs); the field path does not use it.
@@ -63,6 +75,7 @@ from .model import (
     cumulant,
     grad_psi,
     hess_psi,
+    phased_cf,
     psi_jet,
 )
 
@@ -164,22 +177,23 @@ def _half_nodes(grid: GridSpec):
     return h, h * np.arange(int(grid.xi_max / h) + 1)
 
 
-def _phase(xi: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """e^{-i x_{n-1} xi_j} / dx, the factor _window needs on each spectrum."""
+def _spectrum(p: GtsParams, grid: GridSpec, xi: np.ndarray, out=None) -> np.ndarray:
+    """Phi(xi_j) e^{-i x_{n-1} xi_j} / dx at the nodes xi, the phase and the
+    scale folded into the exponent (phased_cf); _window inverts rows built
+    on it."""
     x_last = grid.x_center + (grid.n - 1 - grid.n // 2) * grid.dx
-    return np.exp(-1j * x_last * xi) / grid.dx
+    return phased_cf(p, xi, x_last, -math.log(grid.dx), out)
 
 
 def _window(rows: np.ndarray, grid: GridSpec, out=None) -> np.ndarray:
-    """(h / 2 pi) sum over all j of S_j e^{-i x_k xi_j} on the grid's x
-    nodes, for each Hermitian spectrum row S sampled at the nodes
-    xi_j = j h >= 0 and already multiplied by _phase; rows of shape (rows, J)
-    give a (rows, n) view of the (rows, _PAD n) irfft output, written into
-    out if given.
+    """(h / 2 pi) sum over all j of G_j e^{-i x_k xi_j} on the grid's x
+    nodes, for each Hermitian spectrum row G sampled at the nodes
+    xi_j = j h >= 0 and passed phased, as Y_j = G_j e^{-i x_{n-1} xi_j} / dx
+    (rows built on _spectrum); rows of shape (rows, J) give a (rows, n) view
+    of the (rows, _PAD n) irfft output, written into out if given.
 
-    With Y_j = S_j e^{-i x_{n-1} xi_j}, irfft(Y)[q] holds the sum at
-    x_{n-1-q}, so the window is the first n outputs read backwards. The
-    scale (h / 2 pi) N = 1 / dx rides on the phase.
+    irfft(Y)[q] holds the sum at x_{n-1-q}, so the window is the first n
+    outputs read backwards. The scale (h / 2 pi) N = 1 / dx rides on Y.
     """
     return np.fft.irfft(rows, n=_PAD * grid.n, out=out)[:, grid.n - 1 :: -1]
 
@@ -222,7 +236,8 @@ GRID_N_MAX = 1 << 18
 def auto_grid(p: GtsParams, x_lo: float, x_hi: float) -> GridSpec:
     """Pick a grid for [x_lo, x_hi]: pad the range by GRID_PAD each side,
     double the frequency span until the characteristic function has decayed
-    below PHI_TAIL_TOL, then size n (at least GRID_N_MIN) so the fastest
+    below PHI_TAIL_TOL (|Phi| is read at all 17 doublings from 64 to 2^22
+    at once), then size n (at least GRID_N_MIN) so the fastest
     integrand oscillation is sampled at least four times per period
     (xi_max dx <= pi / 2).
 
@@ -240,12 +255,14 @@ def auto_grid(p: GtsParams, x_lo: float, x_hi: float) -> GridSpec:
     width = x_hi - x_lo
     x_center = 0.5 * (x_lo + x_hi)
     span = 0.5 * width + GRID_PAD * width
+    # |Phi| at every candidate frequency span 64, 128, ..., 2^22, in one read
+    spans = np.ldexp(64.0, np.arange(17))
+    tails = np.abs(characteristic_function(p, spans))
     for tol in TAIL_TOL_LADDER:
-        xi_max = 64.0
-        while xi_max <= 2**22 and abs(characteristic_function(p, xi_max)) > tol:
-            xi_max *= 2.0
-        if xi_max > 2**22:
+        decayed = np.flatnonzero(tails <= tol)
+        if decayed.size == 0:
             continue
+        xi_max = float(spans[decayed[0]])
         n = GRID_N_MIN
         while n < 4.0 * span * xi_max / math.pi:
             n *= 2
@@ -268,13 +285,15 @@ HESS_PAIRS = tuple((r, s) for r in range(7) for s in range(r, 7))
 
 def _field_batch(p: GtsParams, grid: GridSpec, level: int, read=None, scatter=None):
     """Density row, then gradient rows, then packed curvature rows (in
-    HESS_PAIRS order), all inverted by _window from shared Phi samples.
+    HESS_PAIRS order), all inverted by _window from one phased spectrum
+    S_j = Phi(xi_j) e^{-i x_{n-1} xi_j} / dx (_spectrum, module docstring).
 
     d/dV e^Psi = (dPsi/dV) e^Psi and
     d2/dVdW e^Psi = (d2Psi/dVdW + dPsi/dV dPsi/dW) e^Psi,
-    so every row is Phi times a polynomial in the psi_jet rows; only the 10
+    so every row is S times a polynomial in the psi_jet rows; only the 10
     nonzero d2Psi entries are added. level picks how deep to go: 1 density
-    only, 8 adds the gradient, 36 the curvatures.
+    only (S is built in the row it inverts), 8 adds the gradient, 36 the
+    curvatures.
 
     Rows are built and inverted a few at a time. read, if given, maps each
     block of rows on the grid, shape (rows, n), to what is kept of it (the
@@ -286,17 +305,14 @@ def _field_batch(p: GtsParams, grid: GridSpec, level: int, read=None, scatter=No
     at the read points to its (n,) grid vector), inverts only the first 8
     rows and returns (the 8 read rows, C), where C[r, s] is the sum over the
     read points of f_rs / f, f the density row: every curvature is summed
-    by the adjoint of the inversion (module docstring). The density must be
-    positive and finite at every read point, else LikelihoodError.
+    by the adjoint of the inversion, with weights B_j = c_j conj(V_j) S_j / N
+    (module docstring). The density must be positive and finite at every
+    read point, else LikelihoodError.
     """
     if level not in (1, 8, 36):
         raise DomainError(f"field batch level must be 1, 8 or 36, got {level}")
     _check_tail(p, grid)
     _, xi = _half_nodes(grid)
-    phi = characteristic_function(p, xi)
-    phase = _phase(xi, grid)
-    if level >= 8:
-        gp, hp = psi_jet(p, xi)
     adjoint = level == 36 and scatter is not None
     inverted = 8 if adjoint else level
     # one spectra and one irfft buffer per batch, reused by every block;
@@ -305,12 +321,17 @@ def _field_batch(p: GtsParams, grid: GridSpec, level: int, read=None, scatter=No
     step = min(inverted, max(1, _BLOCK_POINTS // (_PAD * grid.n)))
     block = np.empty((step, xi.size), dtype=complex)
     out = np.empty((step, _PAD * grid.n))
+    # a level-1 batch builds its one spectrum in the row it inverts
+    spec = _spectrum(p, grid, xi, block[0] if level == 1 else None)
+    if level >= 8:
+        gp, hp = psi_jet(p, xi)
     kept = []
     for lo in range(0, inverted, step):
         rows = block[: min(step, inverted - lo)]
         for i, row in enumerate(rows, lo):
             if i == 0:
-                row[:] = phi
+                if level > 1:
+                    row[:] = spec
                 continue
             if i < 8:
                 row[:] = gp[i - 1]
@@ -320,8 +341,7 @@ def _field_batch(p: GtsParams, grid: GridSpec, level: int, read=None, scatter=No
                 if (r, s) in hp:
                     # each d2Psi row is read once; free it
                     row += hp.pop((r, s))
-            row *= phi
-        rows *= phase
+            row *= spec
         kept.append((read or np.copy)(_window(rows, grid, out[: len(rows)])))
     vals = kept[0] if len(kept) == 1 else np.concatenate(kept)
     if not adjoint:
@@ -333,8 +353,7 @@ def _field_batch(p: GtsParams, grid: GridSpec, level: int, read=None, scatter=No
     v[grid.n - 1 :: -1] = scatter(1.0 / vals[0])
     b = np.conj(np.fft.rfft(v)[: xi.size])
     b[1 : _PAD * grid.n // 2] *= 2.0
-    b *= phase
-    b *= phi
+    b *= spec
     b /= _PAD * grid.n
     curv = np.empty((7, 7))
     for r in range(7):
@@ -361,15 +380,15 @@ def derivative_fields(p: GtsParams, grid: GridSpec):
 def cdf_field(p: GtsParams, grid: GridSpec) -> Field:
     """Distribution function on the grid's x nodes, monotone-repaired.
 
-    The xi = 0 node of the principal-value sum is dropped and its regular
-    part kappa_1 - x restored analytically (module docstring).
+    The phased spectrum over i xi is inverted. The xi = 0 node of the
+    principal-value sum is dropped and its regular part kappa_1 - x restored
+    analytically (module docstring).
     """
     _check_tail(p, grid)
     h, xi = _half_nodes(grid)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = characteristic_function(p, xi) / (1j * xi)
+    integrand = _spectrum(p, grid, xi)
     integrand[0] = 0.0
-    integrand *= _phase(xi, grid)
+    integrand[1:] /= 1j * xi[1:]
     raw = 0.5 - _window(integrand[np.newaxis], grid)[0] - (h / (2.0 * math.pi)) * (
         cumulant(p, 1) - grid.x_nodes()
     )

@@ -7,10 +7,47 @@ import numpy as np
 import pytest
 
 import gtsfit
-from gtsfit.model import GtsParams
+from gtsfit.model import BETA_LIMIT, GtsParams
 from gtsfit.sampler import SampleConfig, sample_gts
+from gtsfit.special import gamma_real
 
 FIXTURES = Path(gtsfit.__file__).parent / "fixtures"
+
+
+def _side_oracle(alpha, beta, lam, w):
+    """One tail's term of Psi by complex powers and logs, w = lambda -+ i xi,
+    in the precision of w. Gamma(-beta) is the package's own scalar (checked
+    in test_special.py): the oracle checks the complex-plane arithmetic of
+    the tail terms, not that constant."""
+    lam = w.real.dtype.type(lam)
+    if alpha == 0.0:
+        return np.zeros_like(w)
+    if abs(beta) < BETA_LIMIT:
+        return -alpha * (np.log(w) - np.log(lam))
+    return alpha * gamma_real(-beta) * (w**beta - lam**beta)
+
+
+def _psi_oracle(p, xi):
+    """Psi(xi) by complex powers and logs, the formula the package used
+    before it took Psi in real arithmetic; computed at the precision of the
+    float array xi (np.longdouble nodes give a reference with 11 more bits)."""
+    xi = np.asarray(xi)
+    return (
+        1j * p.mu * xi
+        + _side_oracle(p.alpha_plus, p.beta_plus, p.lambda_plus, p.lambda_plus - 1j * xi)
+        + _side_oracle(p.alpha_minus, p.beta_minus, p.lambda_minus, p.lambda_minus + 1j * xi)
+    )
+
+
+@pytest.fixture(scope="session")
+def psi_oracle():
+    return _psi_oracle
+
+
+@pytest.fixture(scope="session")
+def cf_oracle():
+    """The characteristic function exp(Psi) from the complex-power oracle."""
+    return lambda p, xi: np.exp(_psi_oracle(p, xi))
 
 
 def load_gts(name: str) -> GtsParams:

@@ -20,7 +20,7 @@ from scipy.integrate import quad
 from gtsfit import cli, gof
 from gtsfit.frft import GridSpec, auto_grid, cdf_field, density_field, interpolate
 from gtsfit.mle import DEFAULT_INIT, FitOptions, fit, fit_gbm, hessian, log_likelihood, score
-from gtsfit.model import GtsParams, characteristic_function, moment_stats
+from gtsfit.model import GtsParams, moment_stats
 from gtsfit.sampler import SampleConfig, sample_gts
 
 # summary cells for the three assets: mean, variance, skewness, kurtosis,
@@ -60,7 +60,7 @@ def test_criterion_01_moment_cells(sp500_params, spy_params, btc_recentered_para
     assert ok
 
 
-def test_criterion_02_density_inversion_fidelity(spy_params):
+def test_criterion_02_density_inversion_fidelity(spy_params, cf_oracle):
     rng = np.random.default_rng(7)
     xs = rng.uniform(-6.0, 6.0, 20)
     g = auto_grid(spy_params, -6.5, 6.5)
@@ -70,7 +70,7 @@ def test_criterion_02_density_inversion_fidelity(spy_params):
         oracle = (
             quad(
                 lambda xi: (
-                    characteristic_function(spy_params, xi) * np.exp(-1j * x * xi)
+                    cf_oracle(spy_params, xi) * np.exp(-1j * x * xi)
                 ).real,
                 0.0,
                 g.xi_max,

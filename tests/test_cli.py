@@ -167,6 +167,21 @@ class TestFit:
         r = write_returns(tmp_path / "r.csv", [0.1] * 60)
         assert cli.main(["fit", str(r), "--init", "1,2,3"]) == 2
 
+    @pytest.mark.parametrize(
+        "init,reason",
+        [
+            ("0,0.5,0.5,0.5,0.5,1,-1", "lambda_minus must be > 0"),
+            ("0,0.5,0.5,-1,0.5,1,1", "alpha_plus must be >= 0"),
+            ("0,0.5,0.5,0.5,0.5,1,abc", "could not convert string to float"),
+        ],
+    )
+    def test_bad_init_names_the_reason(self, tmp_path, capsys, init, reason):
+        r = write_returns(tmp_path / "r.csv", [0.1] * 60)
+        assert cli.main(["fit", str(r), "--init", init]) == 2
+        err = capsys.readouterr().err
+        assert reason in err
+        assert "invalid _init_vector value" not in err
+
     @pytest.mark.parametrize("init", ["0,-0.5,-0.5,0.5,0.5,1,1", "0,0.5,-0.5,0,0.5,1,1"])
     def test_init_with_atom_exits_2(self, tmp_path, spy_sample_600, capsys, init):
         r = write_returns(tmp_path / "r.csv", spy_sample_600)

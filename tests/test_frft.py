@@ -5,6 +5,7 @@ quadrature of the inversion integrals (scipy.integrate.quad, epsrel 1e-12)
 over the same truncated frequency range the grids use.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -22,6 +23,7 @@ from gtsfit.frft import (
     _half_nodes,
     _interp_apply,
     _interp_weights,
+    _spectrum,
     auto_grid,
     cdf_field,
     density_field,
@@ -30,7 +32,7 @@ from gtsfit.frft import (
     frft,
     interpolate,
 )
-from gtsfit.model import GtsParams, characteristic_function, cumulant, grad_psi, hess_psi
+from gtsfit.model import GtsParams, cumulant, grad_psi, hess_psi
 
 DENSITY_QUAD = {
     -2.5: 0.019900236877575264,
@@ -139,11 +141,11 @@ class TestInversionAgainstDirectSum:
 
     GRID = GridSpec(n=512, x_center=0.7, dx=0.012, xi_max=256.0)
 
-    def _spectra(self, p):
+    def _spectra(self, p, cf):
         g = self.GRID
         h = 2.0 * math.pi / (4 * g.n * g.dx)
         xi = h * np.arange(int(g.xi_max / h) + 1)
-        phi = characteristic_function(p, xi)
+        phi = cf(p, xi)
         gp = grad_psi(p, xi)
         hp = hess_psi(p, xi)
         rows = [phi] + [phi * gp[r] for r in range(7)]
@@ -151,17 +153,17 @@ class TestInversionAgainstDirectSum:
         return xi, np.array(rows)
 
     @pytest.mark.parametrize("level", [1, 8, 36])
-    def test_field_rows(self, spy_params, level):
-        _, spectra = self._spectra(spy_params)
+    def test_field_rows(self, spy_params, cf_oracle, level):
+        _, spectra = self._spectra(spy_params, cf_oracle)
         want = _half_sum(self.GRID, spectra[:level])
         got = _field_batch(spy_params, self.GRID, level)
         assert got.shape == (level, self.GRID.n)
         scale = np.max(np.abs(want), axis=1)
         assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-12 * scale)
 
-    def test_cdf(self, spy_params):
+    def test_cdf(self, spy_params, cf_oracle):
         g = self.GRID
-        xi, spectra = self._spectra(spy_params)
+        xi, spectra = self._spectra(spy_params, cf_oracle)
         integrand = np.zeros(xi.size, dtype=complex)
         integrand[1:] = spectra[0, 1:] / (1j * xi[1:])
         h = xi[1]
@@ -170,6 +172,64 @@ class TestInversionAgainstDirectSum:
         )
         want = np.maximum.accumulate(raw)
         assert np.max(np.abs(cdf_field(spy_params, g).values - want)) <= 1e-12
+
+
+class TestSpectrumAcrossDomain:
+    """_spectrum, the phased spectrum every field inverts, against the
+    complex-power oracle times the phase, on the lattice beta x alpha x
+    lambda, each point on the plus tail, on the minus tail and on both (the
+    other tail off, alpha = 0). No inversion is involved, so laws with an
+    atom, down to the pure atom alpha = 0 on both tails, are compared like
+    any other.
+
+    mu = 0 and x_{n-1} = 2 exactly (x_center = dx = 2^-15, n = 2^17) make
+    the phase (mu - x_{n-1}) xi exact in floating point, with phases up to
+    2e5 rad; the comparison then sees only the routine's own rounding. (A
+    general mu adds the rounding of that product, half an ulp of a phase of
+    2e5 rad, about 1.5e-11, in every double-precision evaluation.) The
+    oracle runs in long double: in double, its own rounding of the phase
+    and of w^beta - lambda^beta reaches 1.4e-11 of the row maximum here."""
+
+    GRID = GridSpec(n=1 << 17, x_center=2.0**-15, dx=2.0**-15, xi_max=1e5)
+    XI = np.concatenate(([0.0], np.geomspace(1e-3, 1e5, 600)))
+    OFF = (0.5, 0.0, 1.0)
+
+    def test_grid_puts_the_last_node_at_two(self):
+        assert self.GRID.x_nodes()[-1] == 2.0
+
+    @pytest.mark.parametrize("beta", [-1.5, -0.5, -1e-8, 0.0, 1e-8, 0.05, 0.5, 0.95])
+    def test_lattice_matches_oracle(self, psi_oracle, beta):
+        xi = self.XI.astype(np.longdouble)
+        phase = np.exp(-2j * xi) / self.GRID.dx
+        for alpha, lam in itertools.product((0.0, 0.05, 1.0, 5.0), (0.05, 1.0, 20.0)):
+            tail = (beta, alpha, lam)
+            for plus, minus in ((tail, self.OFF), (self.OFF, tail), (tail, tail)):
+                p = GtsParams(0.0, plus[0], minus[0], plus[1], minus[1], plus[2], minus[2])
+                want = (np.exp(psi_oracle(p, xi)) * phase).astype(complex)
+                got = _spectrum(p, self.GRID, self.XI)
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) <= 1e-13 * scale, (plus, minus)
+
+
+def test_spectrum_build_peak_memory(spy_params):
+    """A level-1 batch builds its spectrum in the row it inverts, from one
+    (6, J) float scratch array: the tail terms' real and imaginary parts and
+    four work rows, which the phase's TwoSum then reuses. So the traced peak
+    of the build is six float rows, 6 * 8 J bytes, plus a few small objects;
+    the bound allows half a row for those (6.0015 rows measured at
+    J = 133509). Written out of place, the same formulas hold a new array
+    per operation, complex ones in the last step, and peak at 11.1 rows."""
+    g = GridSpec(n=1 << 18, x_center=0.0, dx=1e-3, xi_max=800.0)
+    _, xi = _half_nodes(g)
+    assert xi.size >= 1 << 17
+    row = np.empty(xi.size, dtype=complex)
+    tracemalloc.start()
+    try:
+        _spectrum(spy_params, g, xi, row)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * 8 * xi.size
 
 
 class TestBatchReadInBlocks:
@@ -204,7 +264,7 @@ class TestBatchReadInBlocks:
         assert peaks[36] - peaks[8] < 7 * row_bytes
 
 
-def test_heavy_left_tail_does_not_alias():
+def test_heavy_left_tail_does_not_alias(cf_oracle):
     """The density row against a reference with 8x the alias period (32n
     points). A 2n-point transform, period two windows, lets this left tail
     wrap onto the right end of the window at 5.3e-12 of the row maximum."""
@@ -213,7 +273,7 @@ def test_heavy_left_tail_does_not_alias():
     big = 32 * g.n
     h = 2.0 * math.pi / (big * g.dx)
     xi = h * np.arange(int(g.xi_max / h) + 1)
-    y = np.conj(characteristic_function(p, xi) * np.exp(-1j * g.x_nodes()[0] * xi))
+    y = np.conj(cf_oracle(p, xi) * np.exp(-1j * g.x_nodes()[0] * xi))
     ref = np.fft.irfft(y, n=big)[: g.n] / g.dx
     got = density_field(p, g).values
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
