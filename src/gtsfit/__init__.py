@@ -28,7 +28,6 @@ from .frft import (
     auto_grid,
     cdf_field,
     density_field,
-    derivative_fields,
     field_to_csv,
     frft,
     interpolate,

@@ -359,14 +359,15 @@ def _build_parser(config=None) -> argparse.ArgumentParser:
     s.add_argument("--out")
     s.set_defaults(func=cmd_summarize)
 
+    fit_defaults = mle.FitOptions()
     s = sub.add_parser("fit", help="maximum likelihood fit of a return series")
     s.add_argument("returns")
     s.add_argument("--model", choices=("gts", "gbm"), default="gts")
-    s.add_argument("--init", type=_init_vector, default=mle.DEFAULT_INIT,
+    s.add_argument("--init", type=_init_vector, default=fit_defaults.init,
                    help="7 comma-separated starting values")
-    s.add_argument("--tol", type=float, default=1e-9)
-    s.add_argument("--max-iter", type=int, default=100)
-    s.add_argument("--policy", choices=mle.STEP_POLICIES, default="safeguarded")
+    s.add_argument("--tol", type=float, default=fit_defaults.tol_grad)
+    s.add_argument("--max-iter", type=int, default=fit_defaults.max_iter)
+    s.add_argument("--policy", choices=mle.STEP_POLICIES, default=fit_defaults.step_policy)
     s.add_argument("--trace", help="write the iteration trace CSV here")
     s.add_argument("--out")
     s.set_defaults(func=cmd_fit)

@@ -1,20 +1,21 @@
-"""Density, CDF, and parameter-derivative fields by Fourier inversion.
+"""Density, CDF, and parameter-gradient fields by Fourier inversion, and
+the likelihood's curvature sums by the adjoint of that inversion.
 
-Every field is the real inversion integral (1/2pi) int G(xi) e^{-i x xi} d xi
-of a Hermitian spectrum G (G(-xi) = conj G(xi)): the characteristic function
-Phi for the density, Phi times a Psi-derivative polynomial for the
-parameter gradients and curvatures, and Phi/(i xi) for the CDF. It is
-evaluated on the x nodes x_k = x_center + (k - n/2) dx by the trapezoid rule
-at the frequency spacing h = 2 pi / (N dx), N = 4n. With that spacing the
-sum over xi_j = j h is an N-point DFT (the fractional Fourier transform at
-a = 1/N; Bailey & Swarztrauber, SIAM Rev. 33, 1991), and Hermitian symmetry
-lets one real inverse FFT (numpy irfft) per row read only the nodes
-xi_j >= 0. Nodes above the grid's certified truncation point xi_max are
-zero. The quadrature aliases the field with period N dx, four x windows;
-n of the N outputs are the window. A 2n-point variant (period two windows,
-spectrum filled up to pi/dx) lets a heavy left tail alias onto the right end
-of the window: 6.4e-10 relative in the density at the data points of a spy
-fit, 1.6e-9 in its log-likelihood.
+Every field is the real inversion integral (1/2pi) int G(xi) e^{-i x xi}
+d xi of a Hermitian spectrum G (G(-xi) = conj G(xi)): the characteristic
+function Phi for the density, Phi times a Psi-derivative polynomial for the
+parameter gradients (and the curvatures summed below), and Phi/(i xi) for
+the CDF. It is evaluated on the x nodes x_k = x_center + (k - n/2) dx by the
+trapezoid rule at the frequency spacing h = 2 pi / (N dx), N = 4n. With that
+spacing the sum over xi_j = j h is an N-point DFT (the fractional Fourier
+transform at a = 1/N; Bailey & Swarztrauber, SIAM Rev. 33, 1991), and
+Hermitian symmetry lets one real inverse FFT (numpy irfft) per row read only
+the nodes xi_j >= 0. Nodes above the grid's certified truncation point
+xi_max are zero. The quadrature aliases the field with period N dx, four x
+windows; n of the N outputs are the window. A 2n-point variant (period two
+windows, spectrum filled up to pi/dx) lets a heavy left tail alias onto the
+right end of the window: 6.4e-10 relative in the density at the data points
+of a spy fit, 1.6e-9 in its log-likelihood.
 
 Every row is built on one phased spectrum per batch,
 
@@ -81,14 +82,15 @@ from .model import (
 
 PHI_TAIL_TOL = 1e-12
 
-_FIELD_KINDS = ("density", "cdf", "gradient", "curvature")
+_FIELD_KINDS = ("density", "cdf")
 
 # the field path's real FFT has _PAD * n points (module docstring)
 _PAD = 4
 
 # irfft output points per block of rows (4 MB), to bound the temporary
-# buffers; a 36-row read at n = 65536 then peaks below a level-1 batch at
-# n = 2^18, which every fit that climbs to 2^18 runs anyway
+# buffers: an 8-row read holds all its rows in one block up to n = 16384, and
+# beyond that at most 4 MB of irfft output (one row if larger), never more
+# than the level-1 batch at n = 2^18 that every fit climbing to 2^18 runs
 _BLOCK_POINTS = 1 << 19
 
 
@@ -280,44 +282,38 @@ def density_field(p: GtsParams, grid: GridSpec) -> Field:
     return Field(grid, _field_batch(p, grid, 1)[0], "density")
 
 
-HESS_PAIRS = tuple((r, s) for r in range(7) for s in range(r, 7))
-
-
 def _field_batch(p: GtsParams, grid: GridSpec, level: int, read=None, scatter=None):
-    """Density row, then gradient rows, then packed curvature rows (in
-    HESS_PAIRS order), all inverted by _window from one phased spectrum
-    S_j = Phi(xi_j) e^{-i x_{n-1} xi_j} / dx (_spectrum, module docstring).
-
-    d/dV e^Psi = (dPsi/dV) e^Psi and
-    d2/dVdW e^Psi = (d2Psi/dVdW + dPsi/dV dPsi/dW) e^Psi,
-    so every row is S times a polynomial in the psi_jet rows; only the 10
-    nonzero d2Psi entries are added. level picks how deep to go: 1 density
-    only (S is built in the row it inverts), 8 adds the gradient, 36 the
-    curvatures.
+    """The density row, then (level 8 and 36) the 7 gradient rows, inverted
+    by _window from one phased spectrum S_j = Phi(xi_j) e^{-i x_{n-1} xi_j}
+    / dx (_spectrum, module docstring). d/dV e^Psi = (dPsi/dV) e^Psi, so a
+    gradient row is S times a psi_jet row. A level-1 batch builds S in the
+    row it inverts.
 
     Rows are built and inverted a few at a time. read, if given, maps each
     block of rows on the grid, shape (rows, n), to what is kept of it (the
     rows read at the data points, say), and the kept blocks are stacked; the
-    batch then never holds its spectra or grid rows all at once, so its
-    memory is the psi_jet rows plus one block, not 36 rows of each.
+    batch then never holds its spectra or grid rows all at once.
 
-    A level-36 batch given scatter, the transpose of a linear read (a vector
-    at the read points to its (n,) grid vector), inverts only the first 8
-    rows and returns (the 8 read rows, C), where C[r, s] is the sum over the
-    read points of f_rs / f, f the density row: every curvature is summed
+    Level 36 is the adjoint read and needs scatter, the transpose of a
+    linear read (a vector at the read points to its (n,) grid vector). It
+    inverts the same 8 rows and returns (the 8 read rows, C), where C[r, s]
+    is the sum over the read points of f_rs / f, f the density row and
+    f_rs = (d2Psi_rs + dPsi_r dPsi_s) S inverted: every curvature is summed
     by the adjoint of the inversion, with weights B_j = c_j conj(V_j) S_j / N
     (module docstring). The density must be positive and finite at every
-    read point, else LikelihoodError.
+    read point, else LikelihoodError. scatter at level 1 or 8, or level 36
+    without it, is a DomainError.
     """
     if level not in (1, 8, 36):
         raise DomainError(f"field batch level must be 1, 8 or 36, got {level}")
+    if (level == 36) != (scatter is not None):
+        raise DomainError("a field batch takes scatter at level 36 and only there")
     _check_tail(p, grid)
     _, xi = _half_nodes(grid)
-    adjoint = level == 36 and scatter is not None
-    inverted = 8 if adjoint else level
+    inverted = min(level, 8)
     # one spectra and one irfft buffer per batch, reused by every block;
-    # allocated per block, they went back to the system and were faulted in
-    # again (about 1200 page faults per 36-row batch at n = 8192)
+    # allocated per block, they went back to the system and were faulted
+    # in again
     step = min(inverted, max(1, _BLOCK_POINTS // (_PAD * grid.n)))
     block = np.empty((step, xi.size), dtype=complex)
     out = np.empty((step, _PAD * grid.n))
@@ -333,18 +329,11 @@ def _field_batch(p: GtsParams, grid: GridSpec, level: int, read=None, scatter=No
                 if level > 1:
                     row[:] = spec
                 continue
-            if i < 8:
-                row[:] = gp[i - 1]
-            else:
-                r, s = HESS_PAIRS[i - 8]
-                np.multiply(gp[r], gp[s], out=row)
-                if (r, s) in hp:
-                    # each d2Psi row is read once; free it
-                    row += hp.pop((r, s))
+            row[:] = gp[i - 1]
             row *= spec
         kept.append((read or np.copy)(_window(rows, grid, out[: len(rows)])))
     vals = kept[0] if len(kept) == 1 else np.concatenate(kept)
-    if not adjoint:
+    if level < 36:
         return vals
     _check_density(vals[0])
     # the window's transpose: 1 / f onto the grid, at irfft output n - 1 - k
@@ -361,20 +350,6 @@ def _field_batch(p: GtsParams, grid: GridSpec, level: int, read=None, scatter=No
     for (r, s), row in hp.items():
         curv[r, s] += (b @ row).real
     return vals, np.triu(curv) + np.triu(curv, 1).T
-
-
-def derivative_fields(p: GtsParams, grid: GridSpec):
-    """All 7 gradient and 28 distinct curvature fields of the density in the
-    parameters. Returns (grad: list of 7 Fields, hess: 7x7 nested list with
-    the symmetric entries shared)."""
-    flat = _field_batch(p, grid, 36)
-    grad = [Field(grid, flat[1 + r], "gradient") for r in range(7)]
-    hess = [[None] * 7 for _ in range(7)]
-    for k, (r, s) in enumerate(HESS_PAIRS):
-        fld = Field(grid, flat[8 + k], "curvature")
-        hess[r][s] = fld
-        hess[s][r] = fld
-    return grad, hess
 
 
 def cdf_field(p: GtsParams, grid: GridSpec) -> Field:

@@ -41,6 +41,8 @@ class EmpiricalDistribution:
         c = np.array(self.cum_counts, dtype=np.int64)
         if e.ndim != 1 or e.size == 0 or e.shape != c.shape:
             raise DataError("edges and cumulative counts must be equal-length 1-d")
+        if not np.all(np.isfinite(e)):
+            raise DataError(f"edges must be finite, got {e[~np.isfinite(e)][0]}")
         if np.any(np.diff(e) <= 0.0):
             raise DataError("edges must be strictly increasing")
         if c[0] < 0 or np.any(np.diff(c) < 0) or c[-1] > self.m:
@@ -151,6 +153,8 @@ def ks_exact_cdf(d: float, m: int) -> float:
         raise DomainError(f"sample size must be a positive integer, got {m}")
     if m > KS_MAX_M:
         raise DomainError(f"sample size {m} exceeds the overflow guard {KS_MAX_M}")
+    if not math.isfinite(d):
+        raise DomainError(f"KS statistic must be finite, got {d}")
     if d * m <= 0.5:
         return 0.0
     if d >= 1.0:
@@ -326,6 +330,15 @@ def derive_sample_size(f_emp, floor: int, ceiling: int = 20000) -> int:
     raise DataError("no sample size makes the empirical CDF column integral")
 
 
+def _finite_column(path, rows, name) -> np.ndarray:
+    col = np.array([float(r[name]) for r in rows])
+    bad = np.flatnonzero(~np.isfinite(col))
+    if bad.size:
+        # rows are numbered as file lines, the header being row 1
+        raise DataError(f"{path} row {bad[0] + 2}: {name} must be finite, got {col[bad[0]]}")
+    return col
+
+
 def load_cdf_table(path) -> CdfTable:
     """Read an x_j,n_j,F_n,F table and recover m from the F_n column."""
     with open(path, newline="", encoding="utf-8") as fh:
@@ -335,9 +348,7 @@ def load_cdf_table(path) -> CdfTable:
     need = {"x_j", "n_j", "F_n", "F"}
     if not need.issubset(rows[0].keys()):
         raise DataError(f"{path}: expected columns x_j,n_j,F_n,F")
-    x = np.array([float(r["x_j"]) for r in rows])
+    x, f_emp, f_model = (_finite_column(path, rows, name) for name in ("x_j", "F_n", "F"))
     counts = np.array([int(r["n_j"]) for r in rows])
-    f_emp = np.array([float(r["F_n"]) for r in rows])
-    f_model = np.array([float(r["F"]) for r in rows])
     m = derive_sample_size(f_emp, floor=int(counts.sum()))
     return CdfTable(x=x, counts=counts, f_emp=f_emp, f_model=f_model, m=m)

@@ -172,14 +172,21 @@ def hessian(p: GtsParams, data) -> np.ndarray:
     return h
 
 
-def max_eigenvalue(h) -> float:
-    """Largest eigenvalue of a symmetric matrix, by LAPACK (np.linalg.eigvalsh)."""
+def _symmetric(h, what: str) -> np.ndarray:
+    """h as a float array, or DomainError if it is not square or is
+    asymmetric beyond 1e-12 of max(1, max|h|)."""
     a = np.array(h, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError("max_eigenvalue needs a square matrix")
+        raise DomainError(f"{what} must be square")
     scale = max(1.0, float(np.abs(a).max()))
     if float(np.abs(a - a.T).max()) > 1e-12 * scale:
-        raise DomainError("matrix is not symmetric")
+        raise DomainError(f"{what} is not symmetric")
+    return a
+
+
+def max_eigenvalue(h) -> float:
+    """Largest eigenvalue of a symmetric matrix, by LAPACK (np.linalg.eigvalsh)."""
+    a = _symmetric(h, "matrix")
     return float(np.linalg.eigvalsh(0.5 * (a + a.T))[-1])
 
 
@@ -342,10 +349,7 @@ def fit_gbm(data) -> GbmParams:
 
 def parameter_covariance(h) -> np.ndarray:
     """Inverse observed information: (-hessian)^-1 at the optimum."""
-    a = np.array(h, dtype=float)
-    scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.T).max()) > 1e-12 * scale:
-        raise DomainError("Hessian must be symmetric")
+    a = _symmetric(h, "Hessian")
     try:
         np.linalg.cholesky(-a)
     except np.linalg.LinAlgError:

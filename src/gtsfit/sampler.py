@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, GridError
-from .frft import Field, GridSpec, auto_grid, cdf_field
+from .frft import Field, auto_grid, cdf_field
 from .model import GtsParams, cumulant
 
 _MASK = (1 << 64) - 1
@@ -83,7 +82,6 @@ def uniforms(seed: int, n: int) -> np.ndarray:
 class SampleConfig:
     n: int
     seed: int
-    grid: Optional[GridSpec] = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -168,18 +166,7 @@ def _invert(field: Field, u: np.ndarray) -> np.ndarray:
 
 def sample_gts(p: GtsParams, cfg: SampleConfig) -> np.ndarray:
     """cfg.n inverse-CDF draws, bitwise deterministic in cfg.seed."""
-    if cfg.grid is not None:
-        field = cdf_field(p, cfg.grid)
-        if not _coverage_ok(field):
-            v = field.values
-            raise GridError(
-                f"grid covers F in [{v[2]:.3e}, {v[-3]:.10f}]; "
-                "tails exceed the coverage tolerance"
-            )
-    else:
-        field = _default_cdf(p)
-    u = uniforms(cfg.seed, cfg.n)
-    return _invert(field, u)
+    return _invert(_default_cdf(p), uniforms(cfg.seed, cfg.n))
 
 
 def _write_samples(fh, samples) -> None:

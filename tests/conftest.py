@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import gtsfit
-from gtsfit.model import BETA_LIMIT, GtsParams
+from gtsfit.frft import _half_nodes, _spectrum, _window
+from gtsfit.model import BETA_LIMIT, GtsParams, grad_psi, hess_psi
 from gtsfit.sampler import SampleConfig, sample_gts
 from gtsfit.special import gamma_real
 
@@ -48,6 +49,27 @@ def psi_oracle():
 def cf_oracle():
     """The characteristic function exp(Psi) from the complex-power oracle."""
     return lambda p, xi: np.exp(_psi_oracle(p, xi))
+
+
+def _derivative_rows(p, grid):
+    """The density row, the 7 gradient rows and the 28 curvature rows
+    (r <= s, row-major) of the density on the grid's x nodes, shape
+    (36, n). Each spectrum is its Psi-derivative polynomial from
+    grad_psi/hess_psi times _spectrum, inverted by _window: 36
+    inverse FFTs, where the package's level-36 batch inverts 8 rows and sums
+    the curvatures by the adjoint. The oracle of those sums."""
+    _, xi = _half_nodes(grid)
+    spec = _spectrum(p, grid, xi)
+    gp = grad_psi(p, xi)
+    hp = hess_psi(p, xi)
+    rows = [spec] + [gp[r] * spec for r in range(7)]
+    rows += [(hp[r, s] + gp[r] * gp[s]) * spec for r in range(7) for s in range(r, 7)]
+    return _window(np.array(rows), grid)
+
+
+@pytest.fixture(scope="session")
+def derivative_rows():
+    return _derivative_rows
 
 
 def load_gts(name: str) -> GtsParams:

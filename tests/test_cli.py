@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gtsfit
-from gtsfit import cli
+from gtsfit import cli, mle
 from gtsfit.mle import fit_gbm
 from gtsfit.model import GtsParams
 
@@ -236,6 +236,24 @@ class TestGof:
         rc = cli.main(["gof", str(fixtures_dir / "spy_cdf.csv"), "--binned"])
         assert rc == 2
 
+    @pytest.mark.parametrize("column,source", [("F", "table"), ("x_j", "params")])
+    def test_binned_nan_cell_exits_2(self, tmp_path, fixtures_dir, spy_json, capsys, column, source):
+        lines = (fixtures_dir / "spy_cdf.csv").read_text().splitlines()
+        k = lines[0].split(",").index(column)
+        cells = lines[10].split(",")
+        cells[k] = "nan"
+        lines[10] = ",".join(cells)
+        t = tmp_path / "nan.csv"
+        t.write_text("\n".join(lines) + "\n")
+        model = ["--use-table-model"] if source == "table" else ["--params", spy_json]
+        assert cli.main(["gof", str(t), "--binned", *model]) == 2
+        assert f"row 11: {column} must be finite, got nan" in capsys.readouterr().err
+
+    def test_raw_returns_nan_row_exits_2(self, tmp_path, spy_json, spy_sample_600, capsys):
+        r = write_returns(tmp_path / "r.csv", np.append(spy_sample_600[:50], np.nan))
+        assert cli.main(["gof", str(r), "--params", spy_json]) == 2
+        assert "edges must be finite, got nan" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_deterministic_output_files(self, tmp_path, spy_json):
@@ -349,6 +367,14 @@ class TestPlot:
 
 
 class TestConfigAndParsing:
+    def test_fit_defaults_are_fit_options_defaults(self):
+        args = cli._build_parser().parse_args(["fit", "r.csv"])
+        opts = mle.FitOptions()
+        assert args.init == opts.init
+        assert args.tol == opts.tol_grad
+        assert args.max_iter == opts.max_iter
+        assert args.policy == opts.step_policy
+
     def test_config_supplies_defaults(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         p = tmp_path / "prices.csv"

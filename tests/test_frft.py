@@ -14,7 +14,6 @@ import pytest
 
 from gtsfit.errors import DomainError, GridError, GtsError
 from gtsfit.frft import (
-    HESS_PAIRS,
     PHI_TAIL_TOL,
     TAIL_TOL_LADDER,
     Field,
@@ -22,12 +21,12 @@ from gtsfit.frft import (
     _field_batch,
     _half_nodes,
     _interp_apply,
+    _interp_scatter,
     _interp_weights,
     _spectrum,
     auto_grid,
     cdf_field,
     density_field,
-    derivative_fields,
     field_to_csv,
     frft,
     interpolate,
@@ -149,14 +148,19 @@ class TestInversionAgainstDirectSum:
         gp = grad_psi(p, xi)
         hp = hess_psi(p, xi)
         rows = [phi] + [phi * gp[r] for r in range(7)]
-        rows += [phi * (hp[r, s] + gp[r] * gp[s]) for r, s in HESS_PAIRS]
+        rows += [phi * (hp[r, s] + gp[r] * gp[s]) for r in range(7) for s in range(r, 7)]
         return xi, np.array(rows)
 
     @pytest.mark.parametrize("level", [1, 8, 36])
-    def test_field_rows(self, spy_params, cf_oracle, level):
+    def test_field_rows(self, spy_params, cf_oracle, derivative_rows, level):
+        """Levels 1 and 8 are the package's batches; the 36 rows are the
+        test-only oracle of the adjoint curvature sums (conftest)."""
         _, spectra = self._spectra(spy_params, cf_oracle)
         want = _half_sum(self.GRID, spectra[:level])
-        got = _field_batch(spy_params, self.GRID, level)
+        if level == 36:
+            got = derivative_rows(spy_params, self.GRID)
+        else:
+            got = _field_batch(spy_params, self.GRID, level)
         assert got.shape == (level, self.GRID.n)
         scale = np.max(np.abs(want), axis=1)
         assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-12 * scale)
@@ -241,27 +245,47 @@ class TestBatchReadInBlocks:
         idx, w = _interp_weights(g, np.linspace(-29.0, 29.0, 1000))
         return g, lambda rows: _interp_apply(rows, idx, w)
 
-    @pytest.mark.parametrize("level", [1, 8, 36])
+    @staticmethod
+    def _adjoint(g):
+        """(read, scatter) at 1000 points in the bulk, where the density
+        read is positive, as the adjoint read requires."""
+        idx, w = _interp_weights(g, np.linspace(-3.0, 3.0, 1000))
+        return lambda rows: _interp_apply(rows, idx, w), lambda u: _interp_scatter(u, idx, w, g.n)
+
+    @pytest.mark.parametrize("level", [1, 8])
     def test_same_values_as_full_rows(self, spy_params, setup, level):
         g, read = setup
         full = _field_batch(spy_params, g, level)
         assert np.array_equal(_field_batch(spy_params, g, level, read=read), read(full))
 
     def test_curvature_rows_add_no_peak_memory(self, spy_params, setup):
-        """The 28 curvature rows of a 36-row read cost less traced peak
-        memory than 7 spectrum rows over an 8-row read; holding them all,
-        as spectra or on the grid, would cost more than 28."""
-        g, read = setup
+        """The adjoint read's 28 curvature sums cost less traced peak memory
+        than 7 spectrum rows over an 8-row read on the same grid; inverting
+        the 28 curvature rows, as spectra or on the grid, would cost more
+        than 28."""
+        g, _ = setup
+        read, scatter = self._adjoint(g)
         row_bytes = _half_nodes(g)[1].size * 16
         peaks = {}
-        for level in (8, 36):
+        for level, kw in ((8, {}), (36, {"scatter": scatter})):
             tracemalloc.start()
             try:
-                _field_batch(spy_params, g, level, read=read)
+                _field_batch(spy_params, g, level, read=read, **kw)
                 peaks[level] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         assert peaks[36] - peaks[8] < 7 * row_bytes
+
+    def test_scatter_only_at_level_36(self, spy_params, setup):
+        """Level 36 is the adjoint read: without scatter it is a
+        DomainError, and so is scatter at level 1 or 8."""
+        g, _ = setup
+        read, scatter = self._adjoint(g)
+        with pytest.raises(DomainError, match="scatter"):
+            _field_batch(spy_params, g, 36, read=read)
+        for level in (1, 8):
+            with pytest.raises(DomainError, match="scatter"):
+                _field_batch(spy_params, g, level, read=read, scatter=scatter)
 
 
 def test_heavy_left_tail_does_not_alias(cf_oracle):
@@ -384,11 +408,15 @@ class TestCdfField:
 
 
 class TestDerivativeFields:
+    """The gradient rows of a level-8 batch, and the curvature rows of the
+    test-only 36-row oracle, against finite differences."""
+
     def test_gradient_matches_density_differences(self, spy_params):
         g = auto_grid(spy_params, -10.0, 10.0)
-        grad, _ = derivative_fields(spy_params, g)
+        grad = _field_batch(spy_params, g, 8)[1:]
         v = spy_params.to_vector()
         xs = np.array([-2.5, -0.6, 0.0, 0.7, 3.1])
+        idx, w = _interp_weights(g, xs)
         for k in range(7):
             h = 1e-5 * max(1.0, abs(v[k]))
             vp, vm = v.copy(), v.copy()
@@ -397,34 +425,33 @@ class TestDerivativeFields:
             fp = density_field(GtsParams.from_vector(vp), g)
             fm = density_field(GtsParams.from_vector(vm), g)
             fd = (interpolate(fp, xs) - interpolate(fm, xs)) / (2 * h)
-            got = interpolate(grad[k], xs)
+            got = _interp_apply(grad[k], idx, w)
             assert np.allclose(got, fd, rtol=1e-4, atol=1e-7)
 
-    def test_curvature_matches_gradient_differences(self, spy_params):
+    def test_curvature_matches_gradient_differences(self, spy_params, derivative_rows):
         g = auto_grid(spy_params, -10.0, 10.0)
-        grad, hess = derivative_fields(spy_params, g)
+        rows = derivative_rows(spy_params, g)
+        pairs = [(r, s) for r in range(7) for s in range(r, 7)]
         v = spy_params.to_vector()
-        xs = np.array([-0.6, 0.0, 0.7])
+        idx, w = _interp_weights(g, np.array([-0.6, 0.0, 0.7]))
         for r, s in [(1, 5), (2, 2), (0, 3)]:
             h = 1e-5 * max(1.0, abs(v[s]))
             vp, vm = v.copy(), v.copy()
             vp[s] += h
             vm[s] -= h
-            gp, _ = derivative_fields(GtsParams.from_vector(vp), g)
-            gm, _ = derivative_fields(GtsParams.from_vector(vm), g)
-            fd = (interpolate(gp[r], xs) - interpolate(gm[r], xs)) / (2 * h)
-            got = interpolate(hess[r][s], xs)
+            gp = _field_batch(GtsParams.from_vector(vp), g, 8)[1 + r]
+            gm = _field_batch(GtsParams.from_vector(vm), g, 8)[1 + r]
+            fd = _interp_apply((gp - gm) / (2 * h), idx, w)
+            got = _interp_apply(rows[8 + pairs.index((r, s))], idx, w)
             assert np.allclose(got, fd, rtol=1e-3, atol=1e-6)
-            assert hess[r][s] is hess[s][r]
 
     def test_first_row_equals_density(self, spy_params):
         g = auto_grid(spy_params, -10.0, 10.0)
         dens = density_field(spy_params, g)
-        grad, _ = derivative_fields(spy_params, g)
-        assert grad[0].kind == "gradient"
+        d_mu = _field_batch(spy_params, g, 8)[1]
         # d f / d mu = -f', checked against central differences in x
         fd = -np.gradient(dens.values, g.dx)
-        assert np.allclose(grad[0].values[2:-2], fd[2:-2], atol=5e-4)
+        assert np.allclose(d_mu[2:-2], fd[2:-2], atol=5e-4)
 
 
 class TestInterpolate:

@@ -70,6 +70,14 @@ class TestEmpiricalDistribution:
         with pytest.raises(DataError):
             EmpiricalDistribution.from_bins([])
 
+    def test_non_finite_edges_rejected(self):
+        """A NaN sorts last in np.unique and fails no ordering test; it is
+        named in the error."""
+        with pytest.raises(DataError, match="edges must be finite, got nan"):
+            EmpiricalDistribution.from_samples([1.0, np.nan, 2.0])
+        with pytest.raises(DataError, match="edges must be finite, got inf"):
+            EmpiricalDistribution(np.array([1.0, np.inf]), np.array([1, 2]), 2)
+
 
 class TestKsStatistic:
     def test_two_term_sup_hand_case(self):
@@ -193,6 +201,11 @@ class TestExactKsDistribution:
         with pytest.raises(DomainError):
             ks_exact_cdf(0.1, 0)
 
+    @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
+    def test_non_finite_statistic_rejected(self, d):
+        with pytest.raises(DomainError, match=f"KS statistic must be finite, got {d}"):
+            ks_exact_cdf(d, 50)
+
     @pytest.mark.parametrize("d,m", list(_oracle_grid()))
     def test_row_power_matches_full_matrix_power(self, d, m):
         want = durbin_full_matrix(d, m)
@@ -294,6 +307,18 @@ class TestCdfTables:
         p = tmp_path / "bad.csv"
         p.write_text("x_j,n_j,F_n\n0.0,1,0.5\n")
         with pytest.raises(DataError):
+            load_cdf_table(p)
+
+    @pytest.mark.parametrize("column", ["x_j", "F_n", "F"])
+    def test_non_finite_cell_rejected(self, tmp_path, fixtures_dir, column):
+        lines = (fixtures_dir / "spy_cdf.csv").read_text().splitlines()
+        k = lines[0].split(",").index(column)
+        cells = lines[10].split(",")
+        cells[k] = "nan"
+        lines[10] = ",".join(cells)
+        p = tmp_path / "nan.csv"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"row 11: {column} must be finite, got nan"):
             load_cdf_table(p)
 
     def test_empty_table_rejected(self, tmp_path):

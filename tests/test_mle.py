@@ -22,7 +22,7 @@ from gtsfit.mle import (
     parameter_covariance,
     score,
 )
-from gtsfit.frft import auto_grid, density_field, derivative_fields, interpolate
+from gtsfit.frft import _interp_apply, _interp_weights, auto_grid, density_field, interpolate
 from gtsfit.model import BETA_LIMIT, PARAM_NAMES, GtsParams
 
 
@@ -74,8 +74,8 @@ class TestEvaluation:
 
 class TestAdjointHessian:
     """The level-36 read inverts 8 rows and sums every curvature by the
-    adjoint of the inversion; the 36 inverted rows of derivative_fields,
-    read at the points, are the oracle."""
+    adjoint of the inversion; the test-only 36 inverted rows (conftest's
+    derivative_rows), read at the points, are the oracle."""
 
     POINTS = {
         "spy truth": {},
@@ -84,17 +84,22 @@ class TestAdjointHessian:
     }
 
     @staticmethod
-    def _row_path(p, y, grid):
+    def _row_path(rows, p, y, grid):
         """(log-lik, score, hessian) from the 36 full rows read at y."""
-        grad, hess = derivative_fields(p, grid)
+        idx, w = _interp_weights(grid, y)
         f = interpolate(density_field(p, grid), y)
-        q = np.array([interpolate(g, y) for g in grad]) / f
-        c = np.array([[np.sum(interpolate(h, y) / f) for h in row] for row in hess])
+        full = _interp_apply(rows(p, grid), idx, w) / f
+        q = full[1:8]
+        c = np.empty((7, 7))
+        c[np.triu_indices(7)] = np.sum(full[8:], axis=1)
+        c = np.triu(c) + np.triu(c, 1).T
         return float(np.sum(np.log(f))), np.sum(q, axis=1), c - q @ q.T
 
     @pytest.mark.parametrize("point", POINTS)
     @pytest.mark.parametrize("block_points", [None, 1])
-    def test_matches_row_path(self, monkeypatch, spy_params, spy_sample_600, point, block_points):
+    def test_matches_row_path(
+        self, monkeypatch, spy_params, spy_sample_600, derivative_rows, point, block_points
+    ):
         """Within 1e-13 of max|H|, with one block per batch and with one row
         per block (the 8 rows then span 8 blocks)."""
         if block_points is not None:
@@ -102,7 +107,7 @@ class TestAdjointHessian:
         p = replace(spy_params, **self.POINTS[point])
         ctx = mle._grid_context(p, spy_sample_600)
         ll, sc, h = mle._evaluate(p, spy_sample_600, 36, ctx)
-        ll_rows, sc_rows, h_rows = self._row_path(p, spy_sample_600, ctx.grid)
+        ll_rows, sc_rows, h_rows = self._row_path(derivative_rows, p, spy_sample_600, ctx.grid)
         scale = np.max(np.abs(h_rows))
         assert np.max(np.abs(h - h_rows)) <= 1e-13 * scale
         assert np.array_equal(h, h.T)

@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gtsfit.errors import DomainError, GridError
-from gtsfit.frft import auto_grid, cdf_field, interpolate
+from gtsfit.errors import DomainError
+from gtsfit.frft import interpolate
 from gtsfit.model import GtsParams, cumulant
 from gtsfit.sampler import (
     SampleConfig,
@@ -137,11 +137,10 @@ class TestSampleGts:
         assert not np.array_equal(a, c)
 
     def test_probability_integral_transform(self, spy_params):
-        """Reading the CDF back at the draws recovers the uniforms."""
-        g = auto_grid(spy_params, -14.0, 14.0)
-        cfg = SampleConfig(n=2000, seed=21, grid=g)
-        x = sample_gts(spy_params, cfg)
-        f = cdf_field(spy_params, g)
+        """Reading the CDF the draws invert back at the draws recovers the
+        uniforms."""
+        x = sample_gts(spy_params, SampleConfig(n=2000, seed=21))
+        f = _default_cdf(spy_params)
         u = uniforms(21, 2000)
         back = interpolate(f, x)
         assert np.max(np.abs(back - u)) < 1e-9
@@ -154,11 +153,6 @@ class TestSampleGts:
         # mean of n draws has sd sqrt(k2/n); allow 5 of those
         assert x.mean() == pytest.approx(k1, abs=5.0 * np.sqrt(k2 / n))
         assert x.var() == pytest.approx(k2, rel=0.05)
-
-    def test_narrow_grid_rejected(self, spy_params):
-        g = auto_grid(spy_params, -0.5, 0.5)
-        with pytest.raises(GridError, match="coverage"):
-            sample_gts(spy_params, SampleConfig(n=10, seed=1, grid=g))
 
     def test_config_validated(self):
         with pytest.raises(DomainError):
