@@ -9,12 +9,12 @@ Usage: PYTHONPATH=src python3 scripts/fit_simulated.py [--asset spy] [--n 3000] 
 """
 
 import argparse
-import json
 from pathlib import Path
 
 import gtsfit
+from gtsfit.cli import params_from_json
 from gtsfit.mle import FitOptions, fit, log_likelihood
-from gtsfit.model import PARAM_NAMES, GtsParams
+from gtsfit.model import PARAM_NAMES
 from gtsfit.sampler import SampleConfig, sample_gts
 
 FIXTURES = Path(gtsfit.__file__).parent / "fixtures"
@@ -25,12 +25,10 @@ def main() -> None:
     ap.add_argument("--asset", default="spy", choices=("sp500", "spy", "btc"))
     ap.add_argument("--n", type=int, default=3000)
     ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--tol", type=float, default=1e-9)
+    ap.add_argument("--tol", type=float, default=FitOptions().tol_grad)
     args = ap.parse_args()
 
-    with open(FIXTURES / f"gts_{args.asset}.json") as fh:
-        doc = json.load(fh)
-    truth = GtsParams(*(doc[k] for k in PARAM_NAMES))
+    truth = params_from_json(FIXTURES / f"gts_{args.asset}.json")
 
     y = sample_gts(truth, SampleConfig(n=args.n, seed=args.seed))
     fitted, trace, converged = fit(y, FitOptions(init=truth, tol_grad=args.tol))

@@ -16,22 +16,14 @@ import numpy as np
 
 import gtsfit
 from gtsfit import gof
-from gtsfit.model import GtsParams, cumulant, moment_stats
+from gtsfit.cli import params_from_json
+from gtsfit.model import cumulant, moment_stats
 
 FIXTURES = Path(gtsfit.__file__).parent / "fixtures"
 
 # the crypto series is tabulated in decile units: mean scales by 10,
 # variance by 100, the shape statistics are scale free
 ASSETS = (("sp500", 1.0), ("spy", 1.0), ("btc", 10.0))
-
-
-def load_gts(name: str) -> GtsParams:
-    with open(FIXTURES / f"gts_{name}.json") as fh:
-        doc = json.load(fh)
-    return GtsParams(*(doc[k] for k in (
-        "mu", "beta_plus", "beta_minus", "alpha_plus", "alpha_minus",
-        "lambda_plus", "lambda_minus",
-    )))
 
 
 def gaussian_cdf(mu: float, sigma: float, scale: float):
@@ -56,7 +48,8 @@ def main() -> None:
     print(f"{'asset':8} {'mean':>10} {'variance':>10} {'skew':>10} {'kurt':>10}")
     for name, scale in ASSETS:
         suffix = "_recentered" if name == "btc" else ""
-        mean, var, skew, kurt = moment_stats(load_gts(name + suffix))
+        law = params_from_json(FIXTURES / f"gts_{name}{suffix}.json")
+        mean, var, skew, kurt = moment_stats(law)
         print(
             f"{name:8} {mean * scale:10.7f} {var * scale * scale:10.7f} "
             f"{skew:10.7f} {kurt:10.7f}"
@@ -72,14 +65,13 @@ def main() -> None:
             gof.ks_statistic(np.vectorize(lookup.__getitem__, otypes=[float]), emp)
         )
         print(f"{name:8} {'gts':6} {fitted.d_m:10.7f} {fitted.p_value:10.4%}")
-        with open(FIXTURES / f"gbm_{name}.json") as fh:
-            gb = json.load(fh)
+        gb = params_from_json(FIXTURES / f"gbm_{name}.json")
         gauss = gof.attach_pvalue(
-            gof.ks_statistic(gaussian_cdf(gb["mu"], gb["sigma"], scale), emp)
+            gof.ks_statistic(gaussian_cdf(gb.mu, gb.sigma, scale), emp)
         )
         print(f"{name:8} {'gbm':6} {gauss.d_m:10.7f} {gauss.p_value:10.2e}")
 
-    p = load_gts("btc")
+    p = params_from_json(FIXTURES / "gts_btc.json")
     target = summaries["btc"]["mean"]
     mu_new = p.mu + (target / 10.0 - cumulant(p, 1))
     print(

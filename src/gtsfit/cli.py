@@ -115,9 +115,12 @@ def _read_returns(path) -> np.ndarray:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         try:
-            vals.append(float(row[col]))
+            v = float(row[col])
         except (ValueError, IndexError) as exc:
             raise DataError(f"{path} row {i}: bad value") from exc
+        if not math.isfinite(v):
+            raise DataError(f"{path} row {i}: return must be finite, got {row[col].strip()}")
+        vals.append(v)
     if not vals:
         raise DataError(f"{path}: no data rows")
     return np.asarray(vals)

@@ -272,10 +272,11 @@ def fit(data, opts: FitOptions = FitOptions()):
     return p, FitTrace(tuple(rows)), False
 
 
-def _line_search(v, step, y, ctx, ll, monotone):
-    """Halve the step length until a usable point appears; with monotone
-    acceptance the candidate must not lose more than 1e-9 of log-likelihood
-    against the reference re-read on the candidate's grid. Returns
+def _line_search(v, step, y, ctx, ll):
+    """Halve the step length until a usable point appears. With ll, the
+    iterate's log-likelihood, acceptance is monotone: the candidate must not
+    lose more than 1e-9 of log-likelihood against the reference re-read on
+    the candidate's grid; with ll None any usable point is accepted. Returns
     (params, accepted step fraction) or None."""
     refs = {ctx.grid: ll}
     lam = 1.0
@@ -283,7 +284,7 @@ def _line_search(v, step, y, ctx, ll, monotone):
         got = _try_candidate(v - lam * step, y, ctx)
         if got is not None:
             p, cand_ll, used = got
-            if not monotone:
+            if ll is None:
                 return p, lam
             ref = refs.get(used.grid)
             if ref is None:
@@ -305,7 +306,7 @@ def _raw_step(p, sc, hess, y, ctx, rows):
         step = np.linalg.solve(hess, sc)
     except np.linalg.LinAlgError:
         raise ConvergenceError("singular Hessian", trace=FitTrace(tuple(rows)))
-    got = _line_search(p.to_vector(), step, y, ctx, None, monotone=False)
+    got = _line_search(p.to_vector(), step, y, ctx, None)
     if got is None:
         raise ConvergenceError(
             "backtracking exhausted without a usable step",
@@ -325,7 +326,7 @@ def _safeguarded_step(p, ll, sc, hess, gn, me, y, ctx, rows):
             step = np.linalg.solve(hess - tau * np.eye(7), sc)
         except np.linalg.LinAlgError:
             step = sc / max(1.0, gn)
-        got = _line_search(v, step, y, ctx, ll, monotone=True)
+        got = _line_search(v, step, y, ctx, ll)
         if got is not None:
             return got
         tau = max(4.0 * abs(tau), 1.0)

@@ -57,9 +57,8 @@ PARAM_NAMES = (
 # width of the beta -> 0 switching window
 BETA_LIMIT = 1e-7
 
-_EULER_GAMMA = 0.5772156649015329
 # second-order Taylor coefficient of Gamma(z) about z = 0: gamma^2/2 + pi^2/12
-_C2 = 0.5 * _EULER_GAMMA**2 + math.pi**2 / 12.0
+_C2 = 0.5 * np.euler_gamma**2 + math.pi**2 / 12.0
 
 
 class MomentStats(NamedTuple):
@@ -316,8 +315,8 @@ def _side_derivs(alpha, beta, lam, w):
         d2 = L * L - ln_lam**2
         d3 = L * L * L - ln_lam**3
         g0 = -d1
-        g1 = -(_EULER_GAMMA * d1 + 0.5 * d2)
-        g2 = -(2.0 * _C2 * d1 + _EULER_GAMMA * d2 + d3 / 3.0)
+        g1 = -(np.euler_gamma * d1 + 0.5 * d2)
+        g2 = -(2.0 * _C2 * d1 + np.euler_gamma * d2 + d3 / 3.0)
         iw = 1.0 / w
         il = 1.0 / lam
         e0 = il - iw
@@ -328,7 +327,7 @@ def _side_derivs(alpha, beta, lam, w):
             "ab": g1,
             "al": e0,
             "bb": alpha * g2,
-            "bl": -alpha * (_EULER_GAMMA * (iw - il) + L * iw - ln_lam * il),
+            "bl": -alpha * (np.euler_gamma * (iw - il) + L * iw - ln_lam * il),
             "ll": alpha * (iw * iw - il * il),
         }
     g = gamma_real(-beta)

@@ -1,11 +1,11 @@
 """Scalar special functions on the real line: gamma, digamma and trigamma.
 
-Gamma is a Lanczos approximation (g = 7, 9 coefficients) with reflection
-for the negative half-line; digamma and trigamma shift the argument above
-6 by recurrence and finish with six terms of the Stirling-type asymptotic
-series. Accuracy targets: 1e-12 relative for gamma and 1e-10 for
-digamma/trigamma on |x| <= 30, which covers every argument the fitter can
-produce.
+Gamma is math.gamma behind a guard. On -beta for beta in [-1.95, 0.95]
+and k - beta for k = 1..4, the arguments of the tail scale and of the
+cumulants, it is within 7e-16 relative of mpmath. Digamma and trigamma,
+which the stdlib lacks, shift the argument above 6 by recurrence and
+finish with six terms of the Stirling-type asymptotic series, to 1e-10
+relative on |x| <= 30.
 
 Poles (non-positive integers) raise PoleError instead of returning inf:
 callers treat a pole as a signal to reroute, never as a value.
@@ -16,20 +16,6 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, PoleError
-
-# Lanczos coefficients for g = 7 (Godfrey's table, widely reprinted).
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
 # Asymptotic tail coefficients, Bernoulli numbers B_2n scaled per series....
 # digamma(x) ~ ln x - 1/(2x) - sum B_2n / (2n x^{2n})
@@ -57,32 +43,13 @@ def _check_pole(x: float) -> None:
         raise PoleError(f"pole at non-positive integer argument {x}")
 
 
-def _lanczos_gamma_positive(x: float) -> float:
-    """Gamma for x > 0.5 via the Lanczos sum."""
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
-
-
 def gamma_real(x: float) -> float:
-    """Gamma(x) for real x off the poles at 0, -1, -2, ...
-
-    Negative arguments go through the reflection formula
-    Gamma(x) Gamma(1-x) = pi / sin(pi x).
-    """
+    """Gamma(x) for real x off the poles at 0, -1, -2, ...; OverflowError
+    beyond float range, as math.gamma raises it."""
     if not math.isfinite(x):
         raise DomainError(f"gamma_real needs a finite argument, got {x}")
     _check_pole(x)
-    if x >= 0.5:
-        if x > 171.62:
-            raise OverflowError(f"gamma_real({x}) exceeds float range")
-        return _lanczos_gamma_positive(x)
-    # reflection: sin(pi x) is safe since x is not an integer here
-    s = math.sin(math.pi * x)
-    return math.pi / (s * _lanczos_gamma_positive(1.0 - x))
+    return math.gamma(x)
 
 
 def digamma(x: float) -> float:

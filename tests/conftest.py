@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import gtsfit
+from gtsfit.cli import params_from_json
 from gtsfit.frft import _half_nodes, _spectrum, _window
 from gtsfit.model import BETA_LIMIT, GtsParams, grad_psi, hess_psi
 from gtsfit.sampler import SampleConfig, sample_gts
@@ -73,12 +74,7 @@ def derivative_rows():
 
 
 def load_gts(name: str) -> GtsParams:
-    with open(FIXTURES / name, encoding="utf-8") as fh:
-        d = json.load(fh)
-    return GtsParams(*(d[k] for k in (
-        "mu", "beta_plus", "beta_minus", "alpha_plus", "alpha_minus",
-        "lambda_plus", "lambda_minus",
-    )))
+    return params_from_json(FIXTURES / name)
 
 
 @pytest.fixture(scope="session")

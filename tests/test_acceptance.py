@@ -293,3 +293,15 @@ def test_criterion_11_dataset_fit():
         f"(param gap {param_gap:.2e}, log-ML gap {ll_gap:.2e})"
     )
     assert ok
+
+
+@pytest.mark.parametrize("name", ["sp500", "spy"])
+def test_criterion_11_simulated_stand_in(name, fixtures_dir):
+    """Criterion 11's fit from DEFAULT_INIT, on a draw of the paper's size
+    from a bundled law in place of the index series: 16-17 iterations."""
+    truth = cli.params_from_json(fixtures_dir / f"gts_{name}.json")
+    y = sample_gts(truth, SampleConfig(n=3046, seed=11))
+    _, trace, converged = fit(y, FitOptions(init=DEFAULT_INIT))
+    assert converged
+    assert len(trace.rows) <= 30
+    assert trace.rows[-1].log_ml > log_likelihood(truth, y)

@@ -188,6 +188,13 @@ class TestFit:
         assert cli.main(["fit", str(r), "--init", init]) == 2
         assert "atom of mass" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", ["gts", "gbm"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_exits_2(self, tmp_path, spy_sample_600, capsys, model, bad):
+        r = write_returns(tmp_path / "r.csv", np.insert(spy_sample_600[:60], 7, bad))
+        assert cli.main(["fit", str(r), "--model", model]) == 2
+        assert f"r.csv row 9: return must be finite, got {bad:.17g}" in capsys.readouterr().err
+
 
 class TestGof:
     def test_raw_returns_against_params(self, tmp_path, spy_json, spy_sample_600, capsys):
@@ -252,7 +259,7 @@ class TestGof:
     def test_raw_returns_nan_row_exits_2(self, tmp_path, spy_json, spy_sample_600, capsys):
         r = write_returns(tmp_path / "r.csv", np.append(spy_sample_600[:50], np.nan))
         assert cli.main(["gof", str(r), "--params", spy_json]) == 2
-        assert "edges must be finite, got nan" in capsys.readouterr().err
+        assert "r.csv row 52: return must be finite, got nan" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -363,6 +370,17 @@ class TestPlot:
             "--out-svg", str(tmp_path / "plot.svg"),
         ]
         assert cli.main(argv) == 2
+        assert not (tmp_path / "plot.csv").exists()
+
+    def test_nan_row_exits_2(self, tmp_path, spy_json, gbm_json, spy_sample_600, capsys):
+        r = write_returns(tmp_path / "r.csv", np.append(spy_sample_600[:200], np.nan))
+        argv = [
+            "plot", str(r), "--params", spy_json, "--gbm", gbm_json,
+            "--out-csv", str(tmp_path / "plot.csv"),
+            "--out-svg", str(tmp_path / "plot.svg"),
+        ]
+        assert cli.main(argv) == 2
+        assert "r.csv row 202: return must be finite, got nan" in capsys.readouterr().err
         assert not (tmp_path / "plot.csv").exists()
 
 

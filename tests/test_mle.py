@@ -329,7 +329,7 @@ class TestFit:
         assert mle._grid_context(q, y).grid.tail_tol == 1e-12
         ll = mle._evaluate(p, y, 1, ctx)[0]
         v = p.to_vector()
-        got, lam = mle._line_search(v, v - q.to_vector(), y, ctx, ll, True)
+        got, lam = mle._line_search(v, v - q.to_vector(), y, ctx, ll)
         assert lam == 1.0
         np.testing.assert_allclose(got.to_vector(), q.to_vector(), rtol=1e-12)
 

@@ -7,11 +7,13 @@ zero, where the tempering exponents actually live.
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtsfit.errors import DomainError, PoleError
+from gtsfit.model import GtsParams, atom_mass
 from gtsfit.special import digamma, gamma_real, trigamma
 
 GAMMA_POINTS = [
@@ -61,6 +63,41 @@ def test_trigamma_reference(x, expected):
 def test_poles_rejected(fn, x):
     with pytest.raises(PoleError):
         fn(x)
+
+
+# beta in [-1.95, 0.95] in steps of 0.01, off the pole of Gamma(-beta) at 0
+TAIL_BETAS = [j / 100 for j in range(-195, 96) if j != 0]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_gamma_matches_mpmath_on_tail_arguments(k):
+    """Gamma(k - beta): the tail scale at k = 0, the cumulants at k >= 1."""
+    with mpmath.workdps(40):
+        bad = []
+        for beta in TAIL_BETAS:
+            x = k - beta
+            ref = mpmath.gamma(mpmath.mpf(x))
+            rel = abs(float((mpmath.mpf(gamma_real(x)) - ref) / ref))
+            if rel > 2e-15:
+                bad.append((x, rel))
+    assert not bad
+
+
+def test_gamma_overflow_raises():
+    with pytest.raises(OverflowError):
+        gamma_real(172.0)
+
+
+@pytest.mark.parametrize("fn", [gamma_real, digamma, trigamma])
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_rejected(fn, x):
+    with pytest.raises(DomainError, match="finite"):
+        fn(x)
+
+
+def test_atom_mass_underflows_when_jump_mass_overflows():
+    # Gamma(200.5) overflows a float, so the atom's mass is 0
+    assert atom_mass(GtsParams(0.0, -0.5, -200.5, 1.0, 1.0, 1.0, 1.0)) == 0.0
 
 
 def test_pole_error_is_domain_error():
