@@ -72,6 +72,7 @@ from .errors import DomainError, GridError, LikelihoodError
 from .model import (
     GtsParams,
     atom_mass,
+    cf_modulus,
     characteristic_function,
     cumulant,
     grad_psi,
@@ -213,7 +214,7 @@ def _check_atom(p: GtsParams, tol: float) -> None:
 
 def _check_tail(p: GtsParams, grid: GridSpec) -> None:
     _check_atom(p, grid.tail_tol)
-    tail = abs(characteristic_function(p, grid.xi_max))
+    tail = cf_modulus(p, grid.xi_max)
     if tail > grid.tail_tol:
         raise GridError(
             f"|Phi| = {tail:.3e} at the grid edge xi = {grid.xi_max:g}; "

@@ -8,20 +8,24 @@ through the sums over the sample of d2f/f, and the batch takes those by
 the adjoint of the inversion: one forward FFT of the weights 1/f scattered
 onto the grid, then dot products with the curvature spectra. So no
 curvature row is inverted, and the per-iteration cost is independent of
-the sample size. Line-search candidates are accepted or rejected on the
+the sample size. Trial steps are accepted or rejected on the
 log-likelihood alone, so each costs a batch of the density row only.
 
 The likelihood surface is not concave far from the optimum: the Hessian
 picks up positive eigenvalues along the beta directions and a raw Newton
 step there moves toward a saddle or out of the domain. The default step
-policy therefore shifts the Hessian by tau just past its largest
-eigenvalue whenever it is not negative definite and backtracks to a
-non-decreasing step; near the optimum (Hessian negative definite) tau is 0
-and the iteration is plain Newton with quadratic tail convergence. The
-literal unshifted policy remains available as step_policy="raw-newton":
-it accepts any finite in-domain step, matching diagnostic traces whose
-middle iterations wander through indefinite regions, but it can diverge
-from distant starts.
+policy, step_policy="safeguarded", is therefore a trust region (Nocedal &
+Wright, Numerical Optimization, 2nd ed., 4.3): each step maximises the
+quadratic model of the log-likelihood within a radius, solved exactly from
+one eigendecomposition of the 7 x 7 Hessian per iterate (_trust_step), and
+the radius grows or shrinks with the ratio of the actual to the predicted
+gain. Near the
+optimum (Hessian negative definite, Newton step inside the radius) the
+iteration is plain Newton with quadratic tail convergence. The literal
+policy remains available as step_policy="raw-newton": it accepts any
+finite in-domain Newton step, halving it only to stay in the domain,
+matching diagnostic traces whose middle iterations wander through
+indefinite regions, but it can diverge from distant starts.
 """
 
 from __future__ import annotations
@@ -51,9 +55,25 @@ STEP_POLICIES = ("safeguarded", "raw-newton")
 
 _EIG_SLACK = 1e-6
 
-# an accepted backtracking factor this small means the iterate is pinned
+# a candidate may lose this much log-likelihood against the iterate and
+# still be accepted; the likelihood is not resolved more finely
+_SLACK = 1e-9
+
+# trust region: starting radius (the parameters are O(1)), the gain ratios
+# above which a step that reached the radius doubles it and below which the
+# radius shrinks to a quarter of the step, and the trials per iterate
+_RADIUS0 = 1.0
+_GROW_RHO = 0.75
+_SHRINK_RHO = 0.25
+_TRIALS = 30
+# a gradient component along the lowest eigenvector this small, relative to
+# the whole gradient, is rounding: the subproblem is in the hard case
+_HARD_CASE = 4.0 * np.finfo(float).eps
+
+# an accepted step this small, held to that length by the trust radius (or
+# a raw-newton backtracking factor this small), means the iterate is pinned
 # against the admissible-grid boundary, not progressing
-_CRAWL_LAM = 2.0**-20
+_CRAWL_STEP = 2.0**-20
 _CRAWL_RUNS = 3
 
 
@@ -220,23 +240,35 @@ def fit(data, opts: FitOptions = FitOptions()):
     cannot be read on its own grid, raises ConvergenceError carrying the
     trace so far; an initial point that cannot be read is a LikelihoodError.
 
-    Candidates within one step search are all evaluated on the current
-    iterate's grid, so the compared likelihoods share every quadrature
-    artifact; only a candidate whose tails that grid cannot hold moves to
-    its own wider grid. Without the pinning, a candidate falling across a
-    frequency-span doubling boundary sees an objective jump of about 1e-8
-    and a monotone search can reject every step length. Such a candidate
-    is compared against the iterate re-read on the candidate's grid; if
-    that read fails with any evaluation error, the reference falls back to
-    the iterate's log-likelihood on the pinned grid. The accepted
-    iterate is then read afresh on the grid auto_grid picks for it, which
-    becomes the pinned grid of the next search.
+    The default policy takes trust-region steps. The radius starts at 1
+    (the parameters are O(1)) and carries over from one iterate to the
+    next. A trial step is accepted when its log-likelihood is at most 1e-9
+    below the iterate's; a rejected trial shrinks the radius to a quarter of
+    the step and the next trial solves the model again. After an accepted
+    step the radius doubles when the gain was more than 3/4 of the model's
+    and the step reached the radius, and shrinks to a quarter of the step
+    when the gain was under 1/4 of it. The ratio adds 1e-9 to both gains,
+    so steps whose gains the likelihood cannot resolve neither grow nor
+    shrink the radius.
+
+    Trials from one iterate are all evaluated on the iterate's grid, so the
+    compared likelihoods share every quadrature artifact; only a trial
+    point whose tails that grid cannot hold moves to its own wider grid.
+    Without the pinning, a trial falling across a frequency-span doubling
+    boundary sees an objective jump of about 1e-8, and every step could be
+    rejected. Such a trial is compared against the iterate re-read on the
+    trial's grid; if that read fails with any evaluation error, the
+    reference falls back to the iterate's log-likelihood on the pinned
+    grid. The accepted iterate is then read afresh on the grid auto_grid
+    picks for it, which becomes the pinned grid of its own trials.
 
     Samples whose likelihood keeps rising toward beta -> 0 push the iterate
-    against the boundary of grids the size budget can build. There the
-    search can only accept near-zero step lengths, so three consecutive
-    acceptances with a backtracking factor <= 2^-20 end the iteration early
-    with converged=False rather than crawling along the boundary.
+    against the boundary of grids the size budget can build. There trials
+    off the buildable grids are rejected until the radius collapses, so
+    three consecutive accepted steps held by the radius to a length
+    <= 2^-20 (under raw-newton, three backtracking factors <= 2^-20) end
+    the iteration early with converged=False rather than crawling along
+    the boundary.
     """
     y = _as_data(data)
     if y.size < 50:
@@ -244,6 +276,7 @@ def fit(data, opts: FitOptions = FitOptions()):
     p = opts.init
     rows = []
     crawl = 0
+    radius = _RADIUS0
     for it in range(1, opts.max_iter + 1):
         try:
             ctx = _grid_context(p, y)
@@ -266,72 +299,134 @@ def fit(data, opts: FitOptions = FitOptions()):
             break
         if opts.step_policy == "raw-newton":
             p, lam = _raw_step(p, sc, hess, y, ctx, rows)
+            pinned = lam <= _CRAWL_STEP
         else:
-            p, lam = _safeguarded_step(p, ll, sc, hess, gn, me, y, ctx, rows)
-        crawl = crawl + 1 if lam <= _CRAWL_LAM else 0
+            p, size, tau, radius = _trust_region_step(p, ll, sc, hess, radius, y, ctx, rows)
+            pinned = tau > 0.0 and size <= _CRAWL_STEP
+        crawl = crawl + 1 if pinned else 0
     return p, FitTrace(tuple(rows)), False
-
-
-def _line_search(v, step, y, ctx, ll):
-    """Halve the step length until a usable point appears. With ll, the
-    iterate's log-likelihood, acceptance is monotone: the candidate must not
-    lose more than 1e-9 of log-likelihood against the reference re-read on
-    the candidate's grid; with ll None any usable point is accepted. Returns
-    (params, accepted step fraction) or None."""
-    refs = {ctx.grid: ll}
-    lam = 1.0
-    for _ in range(30):
-        got = _try_candidate(v - lam * step, y, ctx)
-        if got is not None:
-            p, cand_ll, used = got
-            if ll is None:
-                return p, lam
-            ref = refs.get(used.grid)
-            if ref is None:
-                try:
-                    ref = _evaluate(GtsParams.from_vector(v), y, 1, used)[0]
-                except _EVAL_ERRORS:
-                    ref = ll
-                refs[used.grid] = ref
-            if cand_ll >= ref - 1e-9:
-                return p, lam
-        lam *= 0.5
-    return None
 
 
 def _raw_step(p, sc, hess, y, ctx, rows):
     """Unmodified Newton direction; halve only on domain exit or a
-    non-finite likelihood."""
+    non-finite likelihood. Returns (params, accepted step fraction)."""
     try:
         step = np.linalg.solve(hess, sc)
     except np.linalg.LinAlgError:
         raise ConvergenceError("singular Hessian", trace=FitTrace(tuple(rows)))
-    got = _line_search(p.to_vector(), step, y, ctx, None)
-    if got is None:
-        raise ConvergenceError(
-            "backtracking exhausted without a usable step",
-            trace=FitTrace(tuple(rows)),
-        )
-    return got
-
-
-def _safeguarded_step(p, ll, sc, hess, gn, me, y, ctx, rows):
-    """Newton direction on the shifted matrix hess - tau I, tau chosen so the
-    shift is negative definite; accept only non-decreasing in-domain steps,
-    escalating tau when a direction yields none."""
-    tau = 0.0 if me < -1e-8 else me + max(1e-6, 0.01 * abs(me))
     v = p.to_vector()
-    for _round in range(8):
-        try:
-            step = np.linalg.solve(hess - tau * np.eye(7), sc)
-        except np.linalg.LinAlgError:
-            step = sc / max(1.0, gn)
-        got = _line_search(v, step, y, ctx, ll)
+    lam = 1.0
+    for _ in range(30):
+        got = _try_candidate(v - lam * step, y, ctx)
         if got is not None:
-            return got
-        tau = max(4.0 * abs(tau), 1.0)
+            return got[0], lam
+        lam *= 0.5
     raise ConvergenceError(
-        "no ascent step found at any shift", trace=FitTrace(tuple(rows))
+        "backtracking exhausted without a usable step",
+        trace=FitTrace(tuple(rows)),
+    )
+
+
+def _trust_step(ev, Q, g, radius):
+    """Maximiser s of the model g.s - s.B.s / 2 over |s| <= radius, with
+    B = Q diag(ev) Q^T (ev ascending, as np.linalg.eigh returns them).
+    Returns (s, tau): (B + tau I) s = g with tau >= max(0, -ev[0]), and
+    tau = 0 or |s| = radius (More & Sorensen 1983).
+
+    In the eigenbasis s has coordinates c / (b + sigma), c = Q^T g, with
+    b = ev - ev[0] >= 0 when B is not positive definite (tau = sigma - ev[0])
+    and b = ev otherwise (tau = sigma); b is computed once, so its zeros are
+    exact. sigma solves |s| = radius, the secular equation, by Newton's
+    method on 1 / |s|, kept inside a bracket that bisection shrinks. In the
+    hard case g has no component along the zero-b eigenvectors and even
+    sigma = 0 gives a step inside the radius; the lowest eigenvector then
+    makes up the length."""
+    c = Q.T @ g
+    if ev[0] > 0.0:
+        b, lo = ev, 0.0
+        t = c / b
+        if np.linalg.norm(t) <= radius:
+            return Q @ t, 0.0
+    else:
+        b, lo = ev - ev[0], -ev[0]
+        zero = b == 0.0
+        if np.all(np.abs(c[zero]) <= _HARD_CASE * np.linalg.norm(c)):
+            t = np.where(zero, 0.0, c / np.where(zero, 1.0, b))
+            rest = float(np.linalg.norm(t))
+            if rest <= radius:
+                t[0] = math.copysign(math.sqrt(radius * radius - rest * rest), c[0])
+                return Q @ t, lo
+    below, above = 0.0, float(np.linalg.norm(c)) / radius
+    sigma = above
+    for _ in range(200):
+        t = c / (b + sigma)
+        size = float(np.linalg.norm(t))
+        if abs(size - radius) <= 1e-14 * radius:
+            break
+        if size > radius:
+            below = sigma
+        else:
+            above = sigma
+        nxt = sigma + (size - radius) / radius * size * size / float(np.sum(t * t / (b + sigma)))
+        if not below < nxt < above:
+            nxt = 0.5 * (below + above)
+        if nxt == sigma:
+            break
+        sigma = nxt
+    return Q @ (c / (b + sigma)), lo + sigma
+
+
+def _accepts(v, s, y, ctx, ll, refs):
+    """Judge the trial point v + s: (params, gain) if its log-likelihood is
+    no more than _SLACK below the iterate's, else None. The gain is against
+    the iterate re-read on the grid that read the candidate; refs caches
+    those reads by grid, and holds ll, the iterate's log-likelihood on the
+    pinned grid, which stands in for a re-read that fails."""
+    got = _try_candidate(v + s, y, ctx)
+    if got is None:
+        return None
+    p, cand_ll, used = got
+    ref = refs.get(used.grid)
+    if ref is None:
+        try:
+            ref = _evaluate(GtsParams.from_vector(v), y, 1, used)[0]
+        except _EVAL_ERRORS:
+            ref = ll
+        refs[used.grid] = ref
+    if cand_ll < ref - _SLACK:
+        return None
+    return p, cand_ll - ref
+
+
+def _trust_region_step(p, ll, sc, hess, radius, y, ctx, rows):
+    """One accepted trust-region step from p. -hess is decomposed once;
+    each trial solves the subproblem at the current radius and costs one
+    density-only batch. The radius follows rho, the actual over the
+    predicted gain: doubled when rho > 3/4 on a step that reached it,
+    set to a quarter of the step when rho < 1/4 or the trial is rejected.
+    Returns (params, step norm, tau of the subproblem, radius for the next
+    iterate)."""
+    v = p.to_vector()
+    ev, Q = np.linalg.eigh(-hess)
+    refs = {ctx.grid: ll}
+    for _ in range(_TRIALS):
+        s, tau = _trust_step(ev, Q, sc, radius)
+        size = float(np.linalg.norm(s))
+        got = _accepts(v, s, y, ctx, ll, refs)
+        if got is not None:
+            q, gain = got
+            # both gains carry the likelihood's resolution, so rho tends to 1
+            # as they shrink toward it (Conn, Gould & Toint 2000, 17.4.2)
+            rho = (gain + _SLACK) / (float(sc @ s + 0.5 * s @ hess @ s) + _SLACK)
+            if rho > _GROW_RHO and tau > 0.0:
+                radius *= 2.0
+            elif rho < _SHRINK_RHO:
+                radius = 0.25 * size
+            return q, size, tau, radius
+        radius = 0.25 * size
+    raise ConvergenceError(
+        "no acceptable step inside a shrinking trust region",
+        trace=FitTrace(tuple(rows)),
     )
 
 

@@ -23,7 +23,8 @@ parts come from real logs, arctangents, powers and one sin/cos pair, never a
 complex power or log. characteristic_exponent and characteristic_function
 are built on it, and so is phased_cf, exp(Psi(xi) - i shift xi) times a
 scale, which gives the inversion fields their phased spectrum with one real
-exp and one cos/sin pair per node.
+exp and one cos/sin pair per node. cf_modulus takes |Phi| at one node, for
+the grids' tail checks, from the same real parts by scalar math.
 
 The gradient and Hessian of Psi in the parameters are implemented
 analytically, including the series values of the beta-derivatives at the
@@ -297,6 +298,30 @@ def characteristic_function(p: GtsParams, xi):
     arr, scalar = _as_xi_array(xi)
     out = phased_cf(p, arr)
     return complex(out[0]) if scalar else out
+
+
+def cf_modulus(p: GtsParams, xi: float) -> float:
+    """|Phi(xi)| = exp(Re Psi(xi)) at one node. i mu xi and the tails'
+    imaginary parts only turn the phase, so this reads the real parts of the
+    two tail terms alone, in _tail_parts' form, by scalar math; the array
+    routine's fixed cost of some 60 ufunc calls is spent on no node."""
+    re = 0.0
+    for alpha, beta, lam in (
+        (p.alpha_plus, p.beta_plus, p.lambda_plus),
+        (p.alpha_minus, p.beta_minus, p.lambda_minus),
+    ):
+        if alpha == 0.0:
+            continue
+        q = xi / lam
+        log1p_q2 = math.log1p(q * q)
+        if abs(beta) < BETA_LIMIT:
+            re -= 0.5 * alpha * log1p_q2
+            continue
+        # 1 - cos(beta theta), from the half angle as in _tail_parts
+        vers = 2.0 * math.sin(0.5 * beta * math.atan(q)) ** 2
+        m = math.expm1(0.5 * beta * log1p_q2)
+        re += alpha * gamma_real(-beta) * lam**beta * (m * (1.0 - vers) - vers)
+    return math.exp(re)
 
 
 def _side_derivs(alpha, beta, lam, w):

@@ -18,6 +18,7 @@ from gtsfit.frft import (
     TAIL_TOL_LADDER,
     Field,
     GridSpec,
+    _check_tail,
     _field_batch,
     _half_nodes,
     _interp_apply,
@@ -31,7 +32,14 @@ from gtsfit.frft import (
     frft,
     interpolate,
 )
-from gtsfit.model import GtsParams, cumulant, grad_psi, hess_psi
+from gtsfit.model import (
+    GtsParams,
+    cf_modulus,
+    characteristic_function,
+    cumulant,
+    grad_psi,
+    hess_psi,
+)
 
 DENSITY_QUAD = {
     -2.5: 0.019900236877575264,
@@ -363,6 +371,49 @@ class TestAutoGrid:
             density_field(spy_params, g)
         with pytest.raises(GridError):
             cdf_field(spy_params, g)
+
+
+class TestTailCheck:
+    """_check_tail reads |Phi(xi_max)| as exp(Re Psi) from the tail terms
+    alone; its pass/fail decision is that of the full complex
+    characteristic function, on the lattice beta x alpha x lambda (each
+    point on the plus tail, the minus tail and both), at every frequency
+    span auto_grid tries and every rung of the ladder."""
+
+    SPANS = 64.0 * 2.0 ** np.arange(17)
+    OFF = (0.5, 0.0, 1.0)
+
+    @pytest.mark.parametrize("beta", [-1.5, -0.5, -1e-8, 0.0, 1e-8, 0.05, 0.5, 0.95])
+    def test_decision_matches_characteristic_function(self, beta):
+        decided = set()
+        for alpha, lam in itertools.product((0.0, 0.05, 1.0, 5.0), (0.05, 1.0, 20.0)):
+            tail = (beta, alpha, lam)
+            for plus, minus in ((tail, self.OFF), (self.OFF, tail), (tail, tail)):
+                p = GtsParams(0.0, plus[0], minus[0], plus[1], minus[1], plus[2], minus[2])
+                for xi_max, tol in itertools.product(self.SPANS, TAIL_TOL_LADDER):
+                    grid = GridSpec(
+                        n=64, x_center=0.0, dx=math.pi / xi_max, xi_max=xi_max, tail_tol=tol
+                    )
+                    want = abs(characteristic_function(p, xi_max)) <= tol
+                    try:
+                        _check_tail(p, grid)
+                        got = True
+                    except GridError:
+                        got = False
+                    except DomainError:
+                        # an atom heavier than the rung: no decision to compare
+                        continue
+                    assert got == want, (plus, minus, xi_max, tol)
+                    decided.add(got)
+        if beta > 0.0:
+            assert decided == {True, False}
+
+    def test_reads_modulus_of_characteristic_function(self, spy_params):
+        """Re Psi to within rounding of its own size; at xi = 1e5 it is -652."""
+        for xi in (0.0, 1e-3, 1.0, 37.3, 256.0, 1e5):
+            want = math.log(abs(characteristic_function(spy_params, xi)))
+            got = math.log(cf_modulus(spy_params, xi))
+            assert got == pytest.approx(want, rel=1e-14, abs=1e-15)
 
 
 class TestDensityField:

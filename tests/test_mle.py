@@ -1,4 +1,4 @@
-"""Likelihood evaluation and the safeguarded Newton fit."""
+"""Likelihood evaluation, the trust-region subproblem and the Newton fit."""
 
 import importlib
 from dataclasses import replace
@@ -320,18 +320,68 @@ class TestFit:
     def test_reference_reread_error_falls_back(self):
         """The iterate re-read on a candidate's own grid can fail with any
         evaluation error, here the iterate's atom (mass 1.04e-12) against
-        the candidate's 1e-12 rung; the search then compares against ll."""
+        the candidate's 1e-12 rung; the trust-region trial then compares
+        against ll."""
         y = np.linspace(-3, 3, 200)
         p = GtsParams(0, -0.34, -0.44, 12.0, 1.06, 1.77, 1.77)
         q = GtsParams(0, 0.12, -0.44, 1.47, 1.06, 1.77, 1.77)
         ctx = mle._grid_context(p, y)
+        own = mle._grid_context(q, y)
         assert ctx.grid.tail_tol == 1e-11
-        assert mle._grid_context(q, y).grid.tail_tol == 1e-12
+        assert own.grid.tail_tol == 1e-12
         ll = mle._evaluate(p, y, 1, ctx)[0]
         v = p.to_vector()
-        got, lam = mle._line_search(v, v - q.to_vector(), y, ctx, ll)
-        assert lam == 1.0
+        s = q.to_vector() - v
+        refs = {ctx.grid: ll}
+        got, gain = mle._accepts(v, s, y, ctx, ll, refs)
         np.testing.assert_allclose(got.to_vector(), q.to_vector(), rtol=1e-12)
+        assert refs[own.grid] == ll
+        assert gain == mle._evaluate(got, y, 1, own)[0] - ll
+        # with -hess = I and the radius beyond |s|, the subproblem's step is
+        # s itself and the first trial is accepted, whole
+        got, size, tau, _ = mle._trust_region_step(p, ll, s, -np.eye(7), 20.0, y, ctx, [])
+        np.testing.assert_allclose(got.to_vector(), q.to_vector(), rtol=1e-12)
+        assert size == pytest.approx(np.linalg.norm(s), rel=1e-15)
+        assert tau == 0.0
+
+    def test_no_acceptable_trial_raises_with_trace(
+        self, monkeypatch, spy_params, spy_sample_600
+    ):
+        """Every trial unusable: the radius shrinks for _TRIALS trials, then
+        a ConvergenceError carries the trace."""
+        calls = []
+
+        def unusable(*args):
+            calls.append(1)
+
+        monkeypatch.setattr(mle, "_try_candidate", unusable)
+        with pytest.raises(ConvergenceError, match="trust region") as info:
+            fit(spy_sample_600, FitOptions(init=spy_params))
+        assert len(calls) == mle._TRIALS
+        assert len(info.value.trace.rows) == 1
+
+    def test_path_independent_of_row_order(self, monkeypatch, spy_params, spy_sample_3000):
+        """The trust-region path from the truth does not depend on the order
+        of the sample rows: the same, short iteration count on three
+        permutations, at most two density-only trials per iteration."""
+        calls = []
+        real = mle._try_candidate
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(mle, "_try_candidate", counted)
+        iterations = set()
+        for seed in (1, 2, 3):
+            y = spy_sample_3000[np.random.default_rng(seed).permutation(3000)]
+            calls.clear()
+            _, trace, converged = fit(y, FitOptions(init=spy_params))
+            assert converged
+            assert len(trace.rows) <= 16
+            assert len(calls) <= 2 * len(trace.rows)
+            iterations.add(len(trace.rows))
+        assert len(iterations) == 1
 
     def test_options_validated(self):
         with pytest.raises(DomainError):
@@ -340,6 +390,79 @@ class TestFit:
             FitOptions(max_iter=0)
         with pytest.raises(DomainError):
             FitOptions(step_policy="bfgs")
+
+
+def _trust_solution(b, g, radius):
+    """Solve the subproblem and check the More-Sorensen conditions, to 1e-10
+    relative: (B + tau I) s = g, tau >= 0, tau (|s| - radius) = 0, |s| <=
+    radius and B + tau I positive semidefinite."""
+    ev, q = np.linalg.eigh(b)
+    s, tau = mle._trust_step(ev, q, g, radius)
+    size = np.linalg.norm(s)
+    scale = np.abs(ev).max() + tau
+    residual = (b + tau * np.eye(len(g))) @ s - g
+    assert np.linalg.norm(residual) <= 1e-10 * (np.linalg.norm(g) + scale * size)
+    assert tau >= 0.0
+    assert abs(tau * (size - radius)) <= 1e-10 * tau * radius
+    assert size <= radius * (1.0 + 1e-10)
+    assert np.linalg.eigvalsh(b + tau * np.eye(len(g)))[0] >= -1e-10 * scale
+    return s, tau
+
+
+def _rotated(ev, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((len(ev), len(ev))))
+    return (q * ev) @ q.T, q
+
+
+class TestTrustStep:
+    def test_interior_newton_step(self, rng):
+        b, _ = _rotated(np.array([0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 40.0]), rng)
+        g = rng.standard_normal(7)
+        radius = 10.0 * np.linalg.norm(np.linalg.solve(b, g))
+        s, tau = _trust_solution(b, g, radius)
+        assert tau == 0.0
+        np.testing.assert_allclose(s, np.linalg.solve(b, g), rtol=1e-12)
+
+    def test_boundary_step(self, rng):
+        b, _ = _rotated(np.array([0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 40.0]), rng)
+        g = rng.standard_normal(7)
+        radius = 0.1 * np.linalg.norm(np.linalg.solve(b, g))
+        s, tau = _trust_solution(b, g, radius)
+        assert tau > 0.0
+        assert np.linalg.norm(s) == pytest.approx(radius, rel=1e-12)
+
+    def test_indefinite(self, rng):
+        b, _ = _rotated(np.array([-30.0, -2.0, -1e-3, 0.5, 4.0, 9.0, 1e3]), rng)
+        g = rng.standard_normal(7)
+        for radius in (1e-4, 0.1, 1.0, 100.0):
+            s, tau = _trust_solution(b, g, radius)
+            assert tau > 30.0
+            assert np.linalg.norm(s) == pytest.approx(radius, rel=1e-12)
+
+    def test_hard_case(self, rng):
+        """g has no component along the lowest eigenvector, and the step at
+        tau = -lambda_min is inside the radius: the eigenvector makes up the
+        length, and tau is -lambda_min."""
+        ev = np.array([-2.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        c = np.array([0.0, 1.0, -1.0, 0.5, 2.0, 0.0, 1.0])
+        s, tau = _trust_solution(np.diag(ev), c, 5.0)
+        assert tau == 2.0
+        assert abs(s[0]) == pytest.approx(np.sqrt(25.0 - np.sum((c[1:] / (ev[1:] + 2.0)) ** 2)))
+        b, q = _rotated(ev, rng)
+        s, tau = _trust_solution(b, q @ c, 5.0)
+        assert tau == pytest.approx(2.0, rel=1e-12)
+        # a repeated lowest eigenvalue, g orthogonal to both eigenvectors
+        ev[1] = -2.0
+        c[1] = 0.0
+        s, tau = _trust_solution(np.diag(ev), c, 5.0)
+        assert tau == 2.0
+
+    def test_random(self, rng):
+        for _ in range(200):
+            ev = rng.standard_normal(7) * 10.0 ** rng.uniform(-3, 4, 7)
+            b, _ = _rotated(ev, rng)
+            g = rng.standard_normal(7) * 10.0 ** rng.uniform(-3, 3)
+            _trust_solution(b, g, 10.0 ** rng.uniform(-6, 2))
 
 
 class TestTraceCsv:
