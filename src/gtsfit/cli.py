@@ -184,7 +184,6 @@ def cmd_fit(args) -> int:
         init=args.init,
         tol_grad=args.tol,
         max_iter=args.max_iter,
-        step_policy=args.policy,
     )
     try:
         params, trace, converged = mle.fit(y, opts)
@@ -333,6 +332,8 @@ def cmd_recenter(args) -> int:
     p = params_from_json(args.params)
     if not isinstance(p, GtsParams):
         raise DataError("recenter applies to gts params only")
+    if not (args.unit_scale > 0.0 and math.isfinite(args.unit_scale)):
+        raise DataError(f"--unit-scale must be finite and positive, got {args.unit_scale}")
     target_model_units = args.target / args.unit_scale
     mu_new = p.mu + (target_model_units - cumulant(p, 1))
     shifted = GtsParams(
@@ -370,7 +371,6 @@ def _build_parser(config=None) -> argparse.ArgumentParser:
                    help="7 comma-separated starting values")
     s.add_argument("--tol", type=float, default=fit_defaults.tol_grad)
     s.add_argument("--max-iter", type=int, default=fit_defaults.max_iter)
-    s.add_argument("--policy", choices=mle.STEP_POLICIES, default=fit_defaults.step_policy)
     s.add_argument("--trace", help="write the iteration trace CSV here")
     s.add_argument("--out")
     s.set_defaults(func=cmd_fit)

@@ -319,10 +319,13 @@ class CdfTable:
         return EmpiricalDistribution(self.x, cum, self.m)
 
 
-def derive_sample_size(f_emp, floor: int, ceiling: int = 20000) -> int:
-    """Smallest m >= floor making every tabulated F_m value an integer
-    multiple of 1/m (within print-precision slack)."""
+def derive_sample_size(f_emp, floor: int, ceiling: int = KS_MAX_M) -> int:
+    """Smallest m in [floor, ceiling] making every tabulated F_m value an
+    integer multiple of 1/m (within print-precision slack). The default
+    ceiling is the largest m the exact p-value accepts."""
     f = np.asarray(f_emp, dtype=float)
+    if floor > ceiling:
+        raise DataError(f"sample size floor {floor} exceeds the ceiling {ceiling}")
     for m in range(max(int(floor), 1), ceiling + 1):
         scaled = f * m
         if np.max(np.abs(scaled - np.rint(scaled))) < 0.01:

@@ -13,19 +13,14 @@ log-likelihood alone, so each costs a batch of the density row only.
 
 The likelihood surface is not concave far from the optimum: the Hessian
 picks up positive eigenvalues along the beta directions and a raw Newton
-step there moves toward a saddle or out of the domain. The default step
-policy, step_policy="safeguarded", is therefore a trust region (Nocedal &
-Wright, Numerical Optimization, 2nd ed., 4.3): each step maximises the
-quadratic model of the log-likelihood within a radius, solved exactly from
-one eigendecomposition of the 7 x 7 Hessian per iterate (_trust_step), and
-the radius grows or shrinks with the ratio of the actual to the predicted
-gain. Near the
+step there moves toward a saddle or out of the domain. Each step is
+therefore taken in a trust region (Nocedal & Wright, Numerical
+Optimization, 2nd ed., 4.3): it maximises the quadratic model of the
+log-likelihood within a radius, solved exactly from one eigendecomposition
+of the 7 x 7 Hessian per iterate (_trust_step), and the radius grows or
+shrinks with the ratio of the actual to the predicted gain. Near the
 optimum (Hessian negative definite, Newton step inside the radius) the
-iteration is plain Newton with quadratic tail convergence. The literal
-policy remains available as step_policy="raw-newton": it accepts any
-finite in-domain Newton step, halving it only to stay in the domain,
-matching diagnostic traces whose middle iterations wander through
-indefinite regions, but it can diverge from distant starts.
+iteration is plain Newton with quadratic tail convergence.
 """
 
 from __future__ import annotations
@@ -51,8 +46,6 @@ from .model import PARAM_NAMES, GbmParams, GtsParams
 
 DEFAULT_INIT = GtsParams(0.0, 0.5, 0.5, 0.5, 0.5, 1.0, 1.0)
 
-STEP_POLICIES = ("safeguarded", "raw-newton")
-
 _EIG_SLACK = 1e-6
 
 # a candidate may lose this much log-likelihood against the iterate and
@@ -70,9 +63,9 @@ _TRIALS = 30
 # the whole gradient, is rounding: the subproblem is in the hard case
 _HARD_CASE = 4.0 * np.finfo(float).eps
 
-# an accepted step this small, held to that length by the trust radius (or
-# a raw-newton backtracking factor this small), means the iterate is pinned
-# against the admissible-grid boundary, not progressing
+# an accepted step this small, held to that length by the trust radius,
+# means the iterate is pinned against the admissible-grid boundary, not
+# progressing
 _CRAWL_STEP = 2.0**-20
 _CRAWL_RUNS = 3
 
@@ -82,15 +75,12 @@ class FitOptions:
     init: GtsParams = DEFAULT_INIT
     tol_grad: float = 1e-9
     max_iter: int = 100
-    step_policy: str = "safeguarded"
 
     def __post_init__(self):
         if not (self.tol_grad > 0.0):
             raise DomainError("tol_grad must be positive")
         if self.max_iter < 1:
             raise DomainError("max_iter must be >= 1")
-        if self.step_policy not in STEP_POLICIES:
-            raise DomainError(f"step policy must be one of {STEP_POLICIES}")
         _check_atom(self.init, TAIL_TOL_LADDER[-1])
 
 
@@ -240,9 +230,9 @@ def fit(data, opts: FitOptions = FitOptions()):
     cannot be read on its own grid, raises ConvergenceError carrying the
     trace so far; an initial point that cannot be read is a LikelihoodError.
 
-    The default policy takes trust-region steps. The radius starts at 1
-    (the parameters are O(1)) and carries over from one iterate to the
-    next. A trial step is accepted when its log-likelihood is at most 1e-9
+    Each step is taken in a trust region. The radius starts at 1 (the
+    parameters are O(1)) and carries over from one iterate to the next. A
+    trial step is accepted when its log-likelihood is at most 1e-9
     below the iterate's; a rejected trial shrinks the radius to a quarter of
     the step and the next trial solves the model again. After an accepted
     step the radius doubles when the gain was more than 3/4 of the model's
@@ -266,9 +256,8 @@ def fit(data, opts: FitOptions = FitOptions()):
     against the boundary of grids the size budget can build. There trials
     off the buildable grids are rejected until the radius collapses, so
     three consecutive accepted steps held by the radius to a length
-    <= 2^-20 (under raw-newton, three backtracking factors <= 2^-20) end
-    the iteration early with converged=False rather than crawling along
-    the boundary.
+    <= 2^-20 end the iteration early with converged=False rather than
+    crawling along the boundary.
     """
     y = _as_data(data)
     if y.size < 50:
@@ -297,34 +286,9 @@ def fit(data, opts: FitOptions = FitOptions()):
             return p, FitTrace(tuple(rows)), True
         if crawl >= _CRAWL_RUNS or it == opts.max_iter:
             break
-        if opts.step_policy == "raw-newton":
-            p, lam = _raw_step(p, sc, hess, y, ctx, rows)
-            pinned = lam <= _CRAWL_STEP
-        else:
-            p, size, tau, radius = _trust_region_step(p, ll, sc, hess, radius, y, ctx, rows)
-            pinned = tau > 0.0 and size <= _CRAWL_STEP
-        crawl = crawl + 1 if pinned else 0
+        p, size, tau, radius = _trust_region_step(p, ll, sc, hess, radius, y, ctx, rows)
+        crawl = crawl + 1 if tau > 0.0 and size <= _CRAWL_STEP else 0
     return p, FitTrace(tuple(rows)), False
-
-
-def _raw_step(p, sc, hess, y, ctx, rows):
-    """Unmodified Newton direction; halve only on domain exit or a
-    non-finite likelihood. Returns (params, accepted step fraction)."""
-    try:
-        step = np.linalg.solve(hess, sc)
-    except np.linalg.LinAlgError:
-        raise ConvergenceError("singular Hessian", trace=FitTrace(tuple(rows)))
-    v = p.to_vector()
-    lam = 1.0
-    for _ in range(30):
-        got = _try_candidate(v - lam * step, y, ctx)
-        if got is not None:
-            return got[0], lam
-        lam *= 0.5
-    raise ConvergenceError(
-        "backtracking exhausted without a usable step",
-        trace=FitTrace(tuple(rows)),
-    )
 
 
 def _trust_step(ev, Q, g, radius):

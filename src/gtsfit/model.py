@@ -430,18 +430,24 @@ def hess_psi(p: GtsParams, xi):
 
 def cumulant(p: GtsParams, k: int) -> float:
     """k-th cumulant. Continuous through beta = 0 (Gamma(k - beta) is regular
-    there for k >= 1), so no limit branch is needed."""
+    there for k >= 1), so no limit branch is needed. A cumulant that is not
+    a finite float, as when lambda^(k - beta) under- or overflows, is a
+    DomainError."""
     if k < 1:
         raise DomainError("cumulant order must be >= 1")
-    plus = p.alpha_plus * gamma_real(k - p.beta_plus) / p.lambda_plus ** (
-        k - p.beta_plus
-    )
-    minus = p.alpha_minus * gamma_real(k - p.beta_minus) / p.lambda_minus ** (
-        k - p.beta_minus
-    )
-    if k == 1:
-        return p.mu + plus - minus
-    return plus + (-1.0) ** k * minus
+    try:
+        plus = p.alpha_plus * gamma_real(k - p.beta_plus) / p.lambda_plus ** (
+            k - p.beta_plus
+        )
+        minus = p.alpha_minus * gamma_real(k - p.beta_minus) / p.lambda_minus ** (
+            k - p.beta_minus
+        )
+        value = p.mu + plus - minus if k == 1 else plus + (-1.0) ** k * minus
+    except (ZeroDivisionError, OverflowError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise DomainError(f"cumulant {k} is not a finite float at these parameters")
+    return value
 
 
 def moment_stats(p: GtsParams) -> MomentStats:

@@ -306,6 +306,19 @@ class TestSimulate:
         assert cli.main(["simulate", "--params", str(params), "--n", "5", "--seed", "1"]) == 2
         assert "atom of mass" in capsys.readouterr().err
 
+    def test_non_finite_cumulant_exits_2(self, tmp_path, capsys):
+        """lambda_plus^(2 - beta_plus) underflows to 0, so the sampler's
+        variance cumulant is not a finite float."""
+        params = tmp_path / "tiny.json"
+        params.write_text(json.dumps({
+            "schema_version": 1, "model": "gts", "mu": 0.0,
+            "beta_plus": 0.5, "beta_minus": 0.5,
+            "alpha_plus": 0.5, "alpha_minus": 0.5,
+            "lambda_plus": 1e-320, "lambda_minus": 1.0,
+        }))
+        assert cli.main(["simulate", "--params", str(params), "--n", "5", "--seed", "1"]) == 2
+        assert "cumulant 2 is not a finite float" in capsys.readouterr().err
+
 
 class TestRecenter:
     def test_decile_unit_target(self, fixtures_dir, capsys):
@@ -334,6 +347,15 @@ class TestRecenter:
             "lambda_plus", "lambda_minus",
         )))
         assert cumulant(p, 1) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", ["0", "-10", "inf", "nan"])
+    def test_bad_unit_scale_exits_2(self, spy_json, tmp_path, capsys, scale):
+        out = tmp_path / "p.json"
+        argv = ["recenter", "--params", spy_json, "--target", "0.1",
+                f"--unit-scale={scale}", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "--unit-scale must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPlot:
@@ -391,7 +413,21 @@ class TestConfigAndParsing:
         assert args.init == opts.init
         assert args.tol == opts.tol_grad
         assert args.max_iter == opts.max_iter
-        assert args.policy == opts.step_policy
+
+    def test_removed_step_rule_option_exits_2(self, tmp_path, spy_sample_600, capsys):
+        """The fit has one step rule: the option that chose between two is
+        gone, both as a flag and as a config key, and nothing is written."""
+        name = "policy"
+        r = write_returns(tmp_path / "r.csv", spy_sample_600)
+        out = tmp_path / "p.json"
+        argv = ["fit", str(r), "--max-iter", "1", "--out", str(out)]
+        assert cli.main(argv + [f"--{name}", "safeguarded"]) == 2
+        assert f"--{name}" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name: "safeguarded"}))
+        assert cli.main(["--config", str(cfg)] + argv) == 2
+        assert f"'{name}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_supplies_defaults(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

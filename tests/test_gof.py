@@ -327,6 +327,25 @@ class TestCdfTables:
         with pytest.raises(DataError):
             load_cdf_table(p)
 
+    def test_table_above_20000_counts_loads(self, tmp_path):
+        """Sample sizes up to KS_MAX_M are recovered: 100 rows of 250 counts,
+        the model column half a row below the empirical one."""
+        j = np.arange(1, 101)
+        lines = ["x_j,n_j,F_n,F"] + [
+            f"{i / 100:.2f},250,{i / 100:.8f},{(i - 0.5) / 100:.8f}" for i in j
+        ]
+        p = tmp_path / "t25000.csv"
+        p.write_text("\n".join(lines) + "\n")
+        table = load_cdf_table(p)
+        assert table.m == 25000
+        lookup = dict(zip(table.x, table.f_model))
+        model = np.vectorize(lookup.__getitem__, otypes=[float])
+        report = attach_pvalue(ks_statistic(model, table.empirical()))
+        assert report.d_m == pytest.approx(0.005, abs=1e-12)
+        assert report.p_value == pytest.approx(
+            scipy.stats.kstwo.sf(report.d_m, 25000), rel=1e-8
+        )
+
 
 class TestDeriveSampleSize:
     def test_smallest_consistent_size(self):
@@ -340,3 +359,8 @@ class TestDeriveSampleSize:
     def test_irrational_column_fails(self):
         with pytest.raises(DataError):
             derive_sample_size([2.0 ** -0.5], floor=1, ceiling=30)
+
+    def test_default_ceiling_is_ks_max_m(self):
+        assert derive_sample_size([1.0], floor=KS_MAX_M) == KS_MAX_M
+        with pytest.raises(DataError, match=f"floor {KS_MAX_M + 1} exceeds the ceiling"):
+            derive_sample_size([1.0], floor=KS_MAX_M + 1)

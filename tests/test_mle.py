@@ -10,7 +10,6 @@ from gtsfit import mle
 from gtsfit.errors import ConvergenceError, DataError, DomainError, GridError, LikelihoodError
 from gtsfit.mle import (
     DEFAULT_INIT,
-    STEP_POLICIES,
     FitOptions,
     FitTrace,
     TraceRow,
@@ -182,10 +181,7 @@ class TestFit:
                 log_likelihood(r.params, spy_sample_600), rel=1e-10
             )
 
-    @pytest.mark.parametrize("policy", STEP_POLICIES)
-    def test_full_batch_only_per_trace_row(
-        self, monkeypatch, spy_params, spy_sample_600, policy
-    ):
+    def test_full_batch_only_per_trace_row(self, monkeypatch, spy_params, spy_sample_600):
         """Line-search candidates are judged on the density row alone; the
         36-row batch is spent once per iterate, on the row's own grid."""
         levels = []
@@ -196,7 +192,7 @@ class TestFit:
             return real(p, grid, level, **kw)
 
         monkeypatch.setattr(mle, "_field_batch", counted)
-        opts = FitOptions(init=spy_params, tol_grad=1e-6, step_policy=policy)
+        opts = FitOptions(init=spy_params, tol_grad=1e-6)
         _, trace, converged = fit(spy_sample_600, opts)
         assert converged
         assert levels.count(36) == len(trace.rows)
@@ -269,11 +265,6 @@ class TestFit:
         # the trace stays monotone even while pinned
         lls = [r.log_ml for r in trace.rows]
         assert all(b >= a - 1e-6 for a, b in zip(lls, lls[1:]))
-
-    def test_raw_newton_near_optimum(self, spy_params, spy_sample_600):
-        opts = FitOptions(init=spy_params, tol_grad=1e-6, step_policy="raw-newton")
-        p, trace, converged = fit(spy_sample_600, opts)
-        assert converged
 
     def test_small_sample_rejected(self, spy_params):
         with pytest.raises(DataError):
@@ -388,8 +379,6 @@ class TestFit:
             FitOptions(tol_grad=0.0)
         with pytest.raises(DomainError):
             FitOptions(max_iter=0)
-        with pytest.raises(DomainError):
-            FitOptions(step_policy="bfgs")
 
 
 def _trust_solution(b, g, radius):

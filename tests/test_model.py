@@ -251,6 +251,16 @@ class TestCumulants:
         with pytest.raises(DomainError):
             cumulant(spy_params, 0)
 
+    @pytest.mark.parametrize(
+        "lambda_plus, k", [(1e-200, 3), (1e-320, 2), (1e300, 2), (1.0, 200)]
+    )
+    def test_non_finite_cumulant_is_domain_error(self, lambda_plus, k):
+        """lambda^(k - beta) that under- or overflows, or a Gamma(k - beta)
+        beyond float range, gives no finite cumulant: a DomainError."""
+        p = GtsParams(0.0, 0.5, 0.5, 0.5, 0.5, lambda_plus, 1.0)
+        with pytest.raises(DomainError, match=f"cumulant {k} is not a finite float"):
+            cumulant(p, k)
+
     @given(param_sets, st.floats(0.25, 6.0))
     @settings(max_examples=40, deadline=None)
     def test_time_scaling_is_linear_in_cumulants(self, p, t):
