@@ -147,7 +147,8 @@ def ks_exact_cdf(d: float, m: int) -> float:
     exponent tracked separately, and the m!/m^m factor is applied in logs.
     Only entry [k-1, k-1] of the power is read, so row k-1 is carried
     through the powering: a set bit of m costs a vector-matrix product, and
-    only the squarings are matrix products.
+    only the squarings are matrix products. Where Massart's bound puts the
+    survival below 2^-54 the result is 1.0 without the matrix.
     """
     if m < 1 or m != int(m):
         raise DomainError(f"sample size must be a positive integer, got {m}")
@@ -157,7 +158,9 @@ def ks_exact_cdf(d: float, m: int) -> float:
         raise DomainError(f"KS statistic must be finite, got {d}")
     if d * m <= 0.5:
         return 0.0
-    if d >= 1.0:
+    # Massart's bound P(D_m > d) <= 2 exp(-2 m d^2) below 2^-54, half an ulp
+    # under 1, rounds P(D_m <= d) to 1.0: no matrix is built (order 2 m d)
+    if d >= 1.0 or 2.0 * math.exp(-2.0 * m * d * d) < 2.0**-54:
         return 1.0
     k = int(math.ceil(d * m))
     h = k - d * m
@@ -319,16 +322,22 @@ class CdfTable:
         return EmpiricalDistribution(self.x, cum, self.m)
 
 
-def derive_sample_size(f_emp, floor: int, ceiling: int = KS_MAX_M) -> int:
+def derive_sample_size(
+    f_emp, floor: int, ceiling: int = KS_MAX_M, decimals: Optional[int] = None
+) -> int:
     """Smallest m in [floor, ceiling] making every tabulated F_m value an
-    integer multiple of 1/m (within print-precision slack). The default
-    ceiling is the largest m the exact p-value accepts."""
+    integer multiple of 1/m to its print precision: |F m - round(F m)| <= m
+    times half a unit of the column's last printed decimal, decimals after
+    the point (a column of doubles, decimals None, is held to one unit of
+    double rounding, 2^-52). The default ceiling is the largest m the exact
+    p-value accepts."""
     f = np.asarray(f_emp, dtype=float)
     if floor > ceiling:
         raise DataError(f"sample size floor {floor} exceeds the ceiling {ceiling}")
+    half_unit = np.finfo(float).eps if decimals is None else 0.5 * 10.0**-decimals
     for m in range(max(int(floor), 1), ceiling + 1):
         scaled = f * m
-        if np.max(np.abs(scaled - np.rint(scaled))) < 0.01:
+        if np.max(np.abs(scaled - np.rint(scaled))) <= m * half_unit:
             return m
     raise DataError("no sample size makes the empirical CDF column integral")
 
@@ -343,7 +352,10 @@ def _finite_column(path, rows, name) -> np.ndarray:
 
 
 def load_cdf_table(path) -> CdfTable:
-    """Read an x_j,n_j,F_n,F table and recover m from the F_n column."""
+    """Read an x_j,n_j,F_n,F table and recover m from the F_n column, to the
+    precision its cells are printed with (derive_sample_size)."""
+    from decimal import Decimal  # here, so importing gtsfit does not load it
+
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     if not rows:
@@ -353,5 +365,7 @@ def load_cdf_table(path) -> CdfTable:
         raise DataError(f"{path}: expected columns x_j,n_j,F_n,F")
     x, f_emp, f_model = (_finite_column(path, rows, name) for name in ("x_j", "F_n", "F"))
     counts = np.array([int(r["n_j"]) for r in rows])
-    m = derive_sample_size(f_emp, floor=int(counts.sum()))
+    # the F_n column's print precision: the most decimals any cell shows
+    decimals = max(0, max(-Decimal(r["F_n"]).as_tuple().exponent for r in rows))
+    m = derive_sample_size(f_emp, floor=int(counts.sum()), decimals=decimals)
     return CdfTable(x=x, counts=counts, f_emp=f_emp, f_model=f_model, m=m)

@@ -52,15 +52,19 @@ def cf_oracle():
     return lambda p, xi: np.exp(_psi_oracle(p, xi))
 
 
-def _derivative_rows(p, grid):
+def _derivative_rows(p, grid, deconvolve=None):
     """The density row, the 7 gradient rows and the 28 curvature rows
     (r <= s, row-major) of the density on the grid's x nodes, shape
     (36, n). Each spectrum is its Psi-derivative polynomial from
     grad_psi/hess_psi times _spectrum, inverted by _window: 36
     inverse FFTs, where the package's level-36 batch inverts 8 rows and sums
-    the curvatures by the adjoint. The oracle of those sums."""
+    the curvatures by the adjoint. The oracle of those sums. With
+    deconvolve (a kernel read's 1 / K-hat row) every spectrum is multiplied
+    by it, so the rows are those a kernel read reads."""
     _, xi = _half_nodes(grid)
     spec = _spectrum(p, grid, xi)
+    if deconvolve is not None:
+        spec = spec * deconvolve
     gp = grad_psi(p, xi)
     hp = hess_psi(p, xi)
     rows = [spec] + [gp[r] * spec for r in range(7)]

@@ -8,9 +8,11 @@ over the same truncated frequency range the grids use.
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from gtsfit.errors import DomainError, GridError, GtsError
 from gtsfit.frft import (
@@ -22,8 +24,9 @@ from gtsfit.frft import (
     _field_batch,
     _half_nodes,
     _interp_apply,
-    _interp_scatter,
     _interp_weights,
+    _kernel_deconvolution,
+    _kernel_read,
     _spectrum,
     auto_grid,
     cdf_field,
@@ -257,8 +260,8 @@ class TestBatchReadInBlocks:
     def _adjoint(g):
         """(read, scatter) at 1000 points in the bulk, where the density
         read is positive, as the adjoint read requires."""
-        idx, w = _interp_weights(g, np.linspace(-3.0, 3.0, 1000))
-        return lambda rows: _interp_apply(rows, idx, w), lambda u: _interp_scatter(u, idx, w, g.n)
+        read = _kernel_read(g, np.linspace(-3.0, 3.0, 1000))
+        return read, read.scatter
 
     @pytest.mark.parametrize("level", [1, 8])
     def test_same_values_as_full_rows(self, spy_params, setup, level):
@@ -541,6 +544,71 @@ class TestInterpolate:
         g = auto_grid(spy_params, -10.0, 10.0)
         f = density_field(spy_params, g)
         assert isinstance(interpolate(f, 0.25), float)
+
+
+class TestKernelRead:
+    """The likelihood's read: the exponential-of-semicircle kernel over 12
+    grid nodes, its transpose, and the deconvolution row 1 / K-hat."""
+
+    @staticmethod
+    def _grid(spy_params):
+        g = auto_grid(spy_params, -10.0, 10.0)
+        return replace(g, n=g.n // 2, dx=2.0 * g.dx)
+
+    def test_scatter_is_transpose_of_read(self, spy_params, rng):
+        """u . read(row) = scatter(u) . row for every row, to rounding:
+        positive rows and weights, so the sums do not cancel."""
+        g = self._grid(spy_params)
+        read = _kernel_read(g, rng.uniform(-10.0, 10.0, 500))
+        rows = rng.uniform(size=(3, g.n))
+        u = rng.uniform(size=500)
+        np.testing.assert_allclose(read(rows) @ u, rows @ read.scatter(u), rtol=1e-14)
+
+    def test_read_matches_kernel_sum(self, spy_params):
+        """A point between nodes k and k+1 reads nodes k-5..k+6 with weights
+        K((x - x_i) / dx); at a node x_k the weights peak at K(0) = 1."""
+        g = self._grid(spy_params)
+        nodes = g.x_nodes()
+        x = nodes[g.n // 2] + 0.3 * g.dx
+        read = _kernel_read(g, [x, nodes[g.n // 2]])
+        assert list(read.nodes[:, 0]) == list(range(g.n // 2 - 5, g.n // 2 + 7))
+        s = (x - nodes[read.nodes[:, 0]]) / g.dx
+        want = np.exp(2.30 * 12 * (np.sqrt(1.0 - (s / 6.0) ** 2) - 1.0))
+        np.testing.assert_allclose(read.weights[:, 0], want, rtol=1e-14)
+        assert read.weights[5, 1] == 1.0
+
+    def test_khat_matches_direct_quadrature(self):
+        """1 / K-hat against adaptive quadrature of 2 int_0^6 K(s) cos(s
+        theta) ds, from theta = 0 to pi, within 1e-14 of K-hat(0)."""
+        n = 4096
+        khat = 1.0 / _kernel_deconvolution(n, 2 * n + 1)
+        beta = 2.30 * 12
+
+        def kernel(s):
+            return math.exp(beta * (math.sqrt(max(0.0, 1.0 - (s / 6.0) ** 2)) - 1.0))
+
+        for j in (0, 1, 700, 2048, 4096, 6000, 8192):
+            theta = 2.0 * math.pi * j / (4 * n)
+            want = 2.0 * scipy.integrate.quad(
+                lambda s: kernel(s) * math.cos(s * theta), 0.0, 6.0, epsabs=1e-14, epsrel=1e-13, limit=200
+            )[0]
+            assert abs(khat[j] - want) <= 1e-14 * khat[0], j
+
+    def test_deconvolution_row_shared_and_read_only(self, spy_params):
+        g = self._grid(spy_params)
+        a = _kernel_read(g, [0.0]).deconvolve
+        b = _kernel_read(replace(g, x_center=1.0), [0.5]).deconvolve
+        assert a is b
+        assert a.size == _half_nodes(g)[1].size
+        assert not a.flags.writeable
+
+    def test_points_whose_nodes_leave_the_grid_rejected(self, spy_params):
+        g = self._grid(spy_params)
+        nodes = g.x_nodes()
+        _kernel_read(g, [nodes[5], nodes[g.n - 7]])
+        for x in (nodes[5] - 0.5 * g.dx, nodes[g.n - 7] + 0.5 * g.dx):
+            with pytest.raises(GridError, match="kernel read"):
+                _kernel_read(g, [0.0, x])
 
 
 class TestFieldCsv:

@@ -5,6 +5,7 @@ law and is used as the oracle for the matrix-power recursion here.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -211,6 +212,39 @@ class TestExactKsDistribution:
         want = durbin_full_matrix(d, m)
         assert ks_exact_cdf(d, m) == pytest.approx(want, rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("m", [30, 200, 3048])
+    def test_massart_shortcut_agrees_with_matrix_path(self, monkeypatch, m):
+        """At d0, 2 exp(-2 m d0^2) = 2^-54: just below d0 the Durbin matrix
+        is built and gives 1.0, just above it no matrix is built and the
+        result is the same 1.0. kstwo puts the survival at d0 below 2^-54."""
+        d0 = math.sqrt(55.0 * math.log(2.0) / (2.0 * m))
+        assert scipy.stats.kstwo.sf(d0, m) < 2.0**-54
+        powers = []
+        real = gof._rescale
+
+        def counted(mat, expo):
+            powers.append(1)
+            return real(mat, expo)
+
+        monkeypatch.setattr(gof, "_rescale", counted)
+        assert ks_exact_cdf(d0 * (1.0 - 1e-9), m) == 1.0
+        assert powers
+        powers.clear()
+        assert ks_exact_cdf(d0 * (1.0 + 1e-9), m) == 1.0
+        assert not powers
+
+    def test_coarse_table_of_large_sample_is_fast(self):
+        """10 bins of 2500 counts with D = 0.0987: the Durbin order would be
+        4935; Massart's bound (about 1e-211) gives p = 0 at once."""
+        e = EmpiricalDistribution.from_bins([(i / 10.0, 2500) for i in range(1, 11)])
+        model = lambda x: np.asarray(x) - 0.0987
+        start = time.process_time()
+        report = attach_pvalue(ks_statistic(model, e))
+        assert time.process_time() - start < 1.0
+        assert e.m == 25000
+        assert report.d_m == pytest.approx(0.0987, abs=1e-12)
+        assert report.p_value == 0.0
+
     def test_pvalue_complements_cdf(self):
         assert ks_pvalue(0.15, 30) == pytest.approx(
             1.0 - ks_exact_cdf(0.15, 30), rel=1e-14
@@ -226,6 +260,16 @@ class TestNullSummary:
         assert ns.mean == pytest.approx(mean, abs=1e-6)
         assert ns.sd == pytest.approx(math.sqrt(var), abs=1e-6)
         assert ns.critical_d == pytest.approx(ref.ppf(0.95), abs=1e-6)
+
+    def test_paper_size_bit_identical_past_massart_shortcut(self):
+        """The summary's tail cut sits where Massart's bound is 7.6e-11, far
+        above the exact CDF's 2^-54 shortcut, so every read takes the matrix
+        path: the values are those of the code before the shortcut."""
+        assert ks_null_summary(3048) == (
+            0.015680946866959002,
+            0.004714949692430913,
+            0.024543998037510194,
+        )
 
     def test_paper_size_stays_below_massart_cut(self, monkeypatch):
         """At m = 3048 no exact-CDF read goes past d = 0.0832, where
@@ -359,6 +403,29 @@ class TestDeriveSampleSize:
     def test_irrational_column_fails(self):
         with pytest.raises(DataError):
             derive_sample_size([2.0 ** -0.5], floor=1, ceiling=30)
+
+    def test_slack_scales_with_precision(self):
+        """Doubles are held to double rounding, so no m up to KS_MAX_M makes
+        1/sqrt(2), 1/sqrt(3) integral (an absolute 0.01 slack took m = 5333)."""
+        with pytest.raises(DataError):
+            derive_sample_size([2.0 ** -0.5, 3.0 ** -0.5], floor=1)
+
+    def test_rounded_random_columns_fail(self):
+        """A 3-row column printed to 8 decimals is held to m times 5e-9: random
+        columns match no m (an absolute 0.01 slack matched 4 of 5)."""
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            col = np.round(np.sort(rng.uniform(size=3)), 8)
+            with pytest.raises(DataError):
+                derive_sample_size(col, floor=1, decimals=8)
+
+    def test_printed_column_within_half_unit(self):
+        """k/m printed to 4 decimals is off by up to 5e-5, m times which is
+        the slack; the same column read as exact doubles matches no m."""
+        col = [round(k / 37, 4) for k in (5, 11, 36)]
+        assert derive_sample_size(col, floor=1, decimals=4) == 37
+        with pytest.raises(DataError):
+            derive_sample_size(col, floor=1, ceiling=1000)
 
     def test_default_ceiling_is_ks_max_m(self):
         assert derive_sample_size([1.0], floor=KS_MAX_M) == KS_MAX_M

@@ -21,8 +21,18 @@ from gtsfit.mle import (
     parameter_covariance,
     score,
 )
-from gtsfit.frft import _interp_apply, _interp_weights, auto_grid, density_field, interpolate
+from gtsfit.cli import params_from_json
+from gtsfit.frft import (
+    _field_batch,
+    _half_nodes,
+    _interp_apply,
+    _interp_weights,
+    auto_grid,
+    density_field,
+    interpolate,
+)
 from gtsfit.model import BETA_LIMIT, PARAM_NAMES, GtsParams
+from gtsfit.sampler import SampleConfig, sample_gts
 
 
 class TestEvaluation:
@@ -32,6 +42,34 @@ class TestEvaluation:
         f = density_field(spy_params, g)
         manual = float(np.sum(np.log(interpolate(f, spy_sample_600))))
         assert ll == pytest.approx(manual, rel=1e-12)
+
+    def test_likelihood_grid_is_auto_grid_halved(self, spy_params, spy_sample_600):
+        """n halved and dx doubled: the same x range, xi_max, rung and
+        spectrum nodes, with xi_max dx still <= pi."""
+        y = spy_sample_600
+        full = auto_grid(spy_params, y.min(), y.max())
+        ctx = mle._grid_context(spy_params, y)
+        assert ctx.grid == replace(full, n=full.n // 2, dx=2.0 * full.dx)
+        assert ctx.grid.xi_max * ctx.grid.dx <= np.pi
+        np.testing.assert_array_equal(_half_nodes(ctx.grid)[1], _half_nodes(full)[1])
+
+    @pytest.mark.parametrize("law", ["sp500", "spy", "btc", "btc_recentered"])
+    def test_read_accuracy_at_fixture_laws(self, law, fixtures_dir):
+        """Log-likelihood and score of the kernel read on the half-size grid,
+        at the truth on a 3046-point draw, against the Lagrange read of a
+        grid 16 times finer than auto_grid's (8 times from n = 32768), within
+        2e-10 and 1e-9. The Lagrange read on auto_grid's own grid is off by
+        up to 7.1e-9 and 9.9e-7 here."""
+        p = params_from_json(fixtures_dir / f"gts_{law}.json")
+        y = sample_gts(p, SampleConfig(n=3046, seed=11))
+        full = auto_grid(p, y.min(), y.max())
+        k = 16 if full.n < 32768 else 8
+        fine = replace(full, n=full.n * k, dx=full.dx / k)
+        idx, w = _interp_weights(fine, y)
+        ref = _field_batch(p, fine, 8, read=lambda rows: _interp_apply(rows, idx, w))
+        ll, sc, _ = mle._evaluate(p, y, 8)
+        assert abs(ll - float(np.sum(np.log(ref[0])))) <= 2e-10
+        assert np.max(np.abs(sc - np.sum(ref[1:] / ref[0], axis=1))) <= 1e-9
 
     def test_score_matches_finite_differences(self, spy_params, spy_sample_600):
         sc = score(spy_params, spy_sample_600)
@@ -74,7 +112,8 @@ class TestEvaluation:
 class TestAdjointHessian:
     """The level-36 read inverts 8 rows and sums every curvature by the
     adjoint of the inversion; the test-only 36 inverted rows (conftest's
-    derivative_rows), read at the points, are the oracle."""
+    derivative_rows, deconvolved by the context's 1 / K-hat row), read at
+    the points by the same kernel read, are the oracle."""
 
     POINTS = {
         "spy truth": {},
@@ -83,11 +122,12 @@ class TestAdjointHessian:
     }
 
     @staticmethod
-    def _row_path(rows, p, y, grid):
-        """(log-lik, score, hessian) from the 36 full rows read at y."""
-        idx, w = _interp_weights(grid, y)
-        f = interpolate(density_field(p, grid), y)
-        full = _interp_apply(rows(p, grid), idx, w) / f
+    def _row_path(rows, p, ctx):
+        """(log-lik, score, hessian) from the 36 deconvolved full rows read
+        by the context's kernel read."""
+        full = ctx.read(rows(p, ctx.grid, ctx.read.deconvolve))
+        f = full[0]
+        full = full / f
         q = full[1:8]
         c = np.empty((7, 7))
         c[np.triu_indices(7)] = np.sum(full[8:], axis=1)
@@ -106,7 +146,7 @@ class TestAdjointHessian:
         p = replace(spy_params, **self.POINTS[point])
         ctx = mle._grid_context(p, spy_sample_600)
         ll, sc, h = mle._evaluate(p, spy_sample_600, 36, ctx)
-        ll_rows, sc_rows, h_rows = self._row_path(derivative_rows, p, spy_sample_600, ctx.grid)
+        ll_rows, sc_rows, h_rows = self._row_path(derivative_rows, p, ctx)
         scale = np.max(np.abs(h_rows))
         assert np.max(np.abs(h - h_rows)) <= 1e-13 * scale
         assert np.array_equal(h, h.T)
@@ -133,10 +173,12 @@ class TestAdjointHessian:
         ctx = mle._grid_context(spy_params, spy_sample_600)
 
         def read(rows):
-            return -frft_mod._interp_apply(rows, ctx.idx, ctx.w)
+            return -ctx.read(rows)
 
         with pytest.raises(LikelihoodError):
-            frft_mod._field_batch(spy_params, ctx.grid, 36, read=read, scatter=no_scatter)
+            frft_mod._field_batch(
+                spy_params, ctx.grid, 36, read=read, scatter=no_scatter, deconvolve=ctx.read.deconvolve
+            )
 
 
 class TestMaxEigenvalue:
