@@ -177,7 +177,12 @@ class TestAdjointHessian:
 
         with pytest.raises(LikelihoodError):
             frft_mod._field_batch(
-                spy_params, ctx.grid, 36, read=read, scatter=no_scatter, deconvolve=ctx.read.deconvolve
+                spy_params,
+                ctx.grid,
+                36,
+                read=read,
+                scatter=no_scatter,
+                deconvolve=ctx.read.deconvolve,
             )
 
 
