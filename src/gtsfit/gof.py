@@ -27,6 +27,9 @@ from .errors import DataError, DomainError
 
 KS_MAX_M = 100000
 
+# cells of derive_sample_size's (block of m, rows) array: 2 MB of float64
+_SIZE_BLOCK_CELLS = 1 << 18
+
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
@@ -331,14 +334,25 @@ def derive_sample_size(
     the point (a column of doubles, decimals None, is held to one unit of
     double rounding, 2^-52). The default ceiling is the largest m the exact
     p-value accepts."""
-    f = np.asarray(f_emp, dtype=float)
+    f = np.asarray(f_emp, dtype=float).ravel()
     if floor > ceiling:
         raise DataError(f"sample size floor {floor} exceeds the ceiling {ceiling}")
     half_unit = np.finfo(float).eps if decimals is None else 0.5 * 10.0**-decimals
-    for m in range(max(int(floor), 1), ceiling + 1):
-        scaled = f * m
-        if np.max(np.abs(scaled - np.rint(scaled))) <= m * half_unit:
-            return m
+    # a block of m at a time, one m per row of a (block, f.size) array; the
+    # block doubles from 1 up to _SIZE_BLOCK_CELLS cells, so a size at the
+    # floor costs what one m does, and a column no m fits takes few passes
+    cap = max(1, _SIZE_BLOCK_CELLS // max(f.size, 1))
+    start, block = max(int(floor), 1), 1
+    while start <= ceiling:
+        m = np.arange(start, min(start + block, ceiling + 1))
+        scaled = np.multiply.outer(m.astype(float), f)
+        scaled -= np.rint(scaled)
+        np.abs(scaled, out=scaled)
+        hit = np.flatnonzero(scaled.max(axis=1) <= m * half_unit)
+        if hit.size:
+            return int(m[hit[0]])
+        start += block
+        block = min(2 * block, cap)
     raise DataError("no sample size makes the empirical CDF column integral")
 
 

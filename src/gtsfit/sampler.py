@@ -1,13 +1,24 @@
 """Inverse-CDF sampling from the numerically inverted distribution.
 
 Uniform variates come from xoshiro256** (Blackman-Vigna), seeded through
-splitmix64; both are written out here, in `_splitmix64` and the loop of
-`uniforms`, so every seeded constant in the tests is reproducible from this
-file alone. Draws are produced in fixed chunks of 65536. Chunk c starts
-from the state of four splitmix64 outputs seeded by the c-th splitmix64
-output of the master seed, so a parallel implementation partitioned on
-those chunks would emit the identical stream. A uniform is the top 53 bits
-of a xoshiro256** output times 2^-53, in [0, 1).
+splitmix64; both are written out here, in `_splitmix64` and `_advance`, so
+every seeded constant in the tests is reproducible from this file alone.
+Draws are produced in fixed chunks of 65536. Chunk c starts from the state
+of four splitmix64 outputs seeded by the c-th splitmix64 output of the
+master seed (an all-zero state, which xoshiro never leaves, gets s0 = 1). A
+uniform is the top 53 bits of a xoshiro256** output times 2^-53, in [0, 1).
+
+The xoshiro state update s <- A s is linear over GF(2), so s advanced
+_LANE = 128 steps is J s with J = A^128, a 256x256 bit matrix. `uniforms`
+cuts each chunk into lanes of 128 draws: lane j of a chunk starts from
+J^j times the chunk's state, which is the state the one sequential stream
+reaches after 128 j steps, and then every lane of every chunk is stepped
+128 times in lock-step as numpy uint64 columns. Draw i of a chunk is step
+i % 128 of lane i // 128, so the stream is the sequential one, bit for
+bit, whatever n is. J is built once per process by stepping the 256
+one-bit states 128 times with the same `_advance`, and kept as 256
+four-word columns (8 KB); J s is the XOR of the columns at the set bits of
+s. A call runs only as many lanes as its n needs.
 
 Each uniform u is mapped through the monotone-repaired CDF field: binary
 search over the node values brackets u in one grid cell, then bisection on
@@ -23,6 +34,7 @@ on its own uniform, so the blocks change no bit of any draw.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +47,8 @@ from .model import GtsParams, cumulant
 _MASK = (1 << 64) - 1
 
 _CHUNK = 65536
+
+_LANE = 128
 
 _BLOCK = 8192
 
@@ -53,29 +67,81 @@ def _splitmix64(state: int, count: int) -> list:
     return out
 
 
+def _advance(s: np.ndarray, t: np.ndarray) -> None:
+    """One xoshiro256** state update, in place, of every column (lane) of
+    the (4, lanes) uint64 state s; t is a scratch row of the same length."""
+    s0, s1, s2, s3 = s
+    np.left_shift(s1, 17, out=t)
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    np.left_shift(s3, 45, out=t)
+    s3 >>= 19
+    s3 |= t
+
+
+@functools.cache
+def _jump_columns() -> np.ndarray:
+    """J = A^_LANE as a read-only (4, 256) uint64 array: column b is the
+    state that bit b alone (word b // 64, bit b % 64) reaches in _LANE steps."""
+    b = np.arange(256)
+    cols = np.zeros((4, 256), dtype=np.uint64)
+    cols[b // 64, b] = np.left_shift(np.uint64(1), (b % 64).astype(np.uint64))
+    t = np.empty(256, dtype=np.uint64)
+    for _ in range(_LANE):
+        _advance(cols, t)
+    cols.flags.writeable = False
+    return cols
+
+
+def _jump(states: np.ndarray) -> np.ndarray:
+    """J s for every row s of a (rows, 4) uint64 array of states: the XOR
+    of J's columns at the set bits of s."""
+    # little-endian bytes of the four words, least significant bit first,
+    # give bit b of the state at index b = 64 word + bit
+    raw = np.ascontiguousarray(states, dtype="<u8").view(np.uint8)
+    bits = np.unpackbits(raw, axis=1, bitorder="little")
+    return np.bitwise_xor.reduce(_jump_columns() * bits[:, None, :], axis=2)
+
+
 def uniforms(seed: int, n: int) -> np.ndarray:
-    """n deterministic uniforms in chunks of 65536 (module docstring)."""
+    """n deterministic uniforms in chunks of 65536, drawn in lanes of
+    _LANE steps (module docstring)."""
     if n < 0:
         raise DomainError(f"uniform count must be >= 0, got {n}")
-    out = np.empty(n)
-    for start, chunk_seed in zip(range(0, n, _CHUNK), _splitmix64(seed, -(-n // _CHUNK))):
-        s0, s1, s2, s3 = _splitmix64(chunk_seed, 4)
-        if not (s0 or s1 or s2 or s3):
-            s0 = 1
-        for i in range(start, min(start + _CHUNK, n)):
-            r = (s1 * 5) & _MASK
-            out[i] = ((((r << 7) | (r >> 57)) * 9) & _MASK) >> 11
-            t = (s1 << 17) & _MASK
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK
+    chunks = -(-n // _CHUNK)
+    lanes = -(-min(n, _CHUNK) // _LANE)
+    state = np.array(
+        [_splitmix64(c, 4) for c in _splitmix64(seed, chunks)], dtype=np.uint64
+    ).reshape(chunks, 4)
+    state[~state.any(axis=1), 0] = 1
+    # column c * lanes + j of s is J^j times chunk c's state; the last
+    # chunk's lanes past draw n are cut off
+    s = np.empty((4, chunks, lanes), dtype=np.uint64)
+    for j in range(lanes):
+        s[:, :, j] = state.T
+        state = _jump(state)
+    total = -(-n // _LANE)
+    s = s.reshape(4, -1)[:, :total]
+    out = np.empty((total, _LANE))
+    t = np.empty(total, dtype=np.uint64)
+    w = np.empty(total, dtype=np.uint64)
+    for k in range(_LANE):
+        # the output rotl(s1 * 5, 7) * 9 >> 11 of every lane, as draw k of it
+        np.multiply(s[1], 5, out=t)
+        np.left_shift(t, 7, out=w)
+        t >>= 57
+        t |= w
+        t *= 9
+        t >>= 11
+        out[:, k] = t
+        _advance(s, w)
     # each output >> 11 is below 2^53, so it is stored exactly and the
     # power-of-two scale leaves the 53 bits unchanged
     out *= 2.0**-53
-    return out
+    return out.reshape(-1)[:n]
 
 
 @dataclass(frozen=True)

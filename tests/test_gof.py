@@ -427,6 +427,38 @@ class TestDeriveSampleSize:
         with pytest.raises(DataError):
             derive_sample_size(col, floor=1, ceiling=1000)
 
+    def test_blocks_equal_one_m_at_a_time(self):
+        """Random columns k/m, exact or printed to a few decimals, against
+        the loop that tries one m at a time (hits, floors and failures)."""
+
+        def one_at_a_time(f, floor, ceiling, decimals):
+            f = np.asarray(f, dtype=float)
+            half = np.finfo(float).eps if decimals is None else 0.5 * 10.0**-decimals
+            for m in range(max(floor, 1), ceiling + 1):
+                scaled = f * m
+                if np.max(np.abs(scaled - np.rint(scaled))) <= m * half:
+                    return m
+            return None
+
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            m_true = int(rng.integers(2, 3000))
+            rows = int(rng.integers(1, 40))
+            col = np.sort(rng.integers(0, m_true + 1, size=rows)) / m_true
+            decimals = [None, 3, 4, 6, 8][int(rng.integers(5))]
+            if decimals is not None:
+                col = np.round(col, decimals)
+            if rng.uniform() < 0.3:
+                col = np.round(np.sort(rng.uniform(size=rows)), 8)
+            floor = int(rng.integers(1, m_true + 1))
+            ceiling = int(rng.integers(floor, 4000))
+            want = one_at_a_time(col, floor, ceiling, decimals)
+            if want is None:
+                with pytest.raises(DataError):
+                    derive_sample_size(col, floor=floor, ceiling=ceiling, decimals=decimals)
+            else:
+                assert derive_sample_size(col, floor, ceiling, decimals) == want
+
     def test_default_ceiling_is_ks_max_m(self):
         assert derive_sample_size([1.0], floor=KS_MAX_M) == KS_MAX_M
         with pytest.raises(DataError, match=f"floor {KS_MAX_M + 1} exceeds the ceiling"):

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gtsfit import sampler
 from gtsfit.errors import DomainError
 from gtsfit.frft import interpolate
 from gtsfit.model import GtsParams, cumulant
@@ -21,6 +22,7 @@ from gtsfit.sampler import (
 
 MASK = (1 << 64) - 1
 CHUNK = 65536
+K = sampler._LANE
 
 
 def np_splitmix64(state, count):
@@ -59,6 +61,31 @@ def oracle_uniforms(seeds, n):
     u = (raw >> np.uint64(11)).astype(float) * 2.0**-53
     lanes = u.T.reshape(len(seeds), chunks * CHUNK)
     return {seed: lane[:n] for seed, lane in zip(seeds, lanes)}
+
+
+def scalar_rotl(x, k):
+    return ((x << k) | (x >> (64 - k))) & MASK
+
+
+def scalar_step(state):
+    """One xoshiro256** state update in Python ints."""
+    s0, s1, s2, s3 = state
+    t = (s1 << 17) & MASK
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    return s0, s1, s2, scalar_rotl(s3, 45)
+
+
+def scalar_uniforms(state, n):
+    """Test-only reference: n uniforms stepped one at a time from a state."""
+    out = []
+    for _ in range(n):
+        out.append((scalar_rotl((state[1] * 5) & MASK, 7) * 9 & MASK) >> 11)
+        state = scalar_step(state)
+    return np.array(out, dtype=float) * 2.0**-53
 
 
 def oracle_invert(field, u):
@@ -115,8 +142,41 @@ class TestUniforms:
     def test_generator_zero_state_guard(self):
         assert len(set(uniforms(0, 8))) == 8
 
+    def test_zero_chunk_state_starts_from_one(self, monkeypatch):
+        """An all-zero chunk state is replaced by (1, 0, 0, 0). No seed is
+        known to give one, so splitmix64 is patched to: every chunk then
+        repeats that state's scalar stream, across lane boundaries."""
+        monkeypatch.setattr(sampler, "_splitmix64", lambda state, count: [0] * count)
+        n = 2 * K + 5
+        want = scalar_uniforms((1, 0, 0, 0), n)
+        assert np.array_equal(uniforms(0, n), want)
+        both = uniforms(0, CHUNK + n)
+        assert np.array_equal(both[:n], want)
+        assert np.array_equal(both[CHUNK:], want)
+
+    def test_jump_is_k_scalar_steps(self):
+        """The cached J = A^K applied to random states equals K xoshiro
+        steps taken one at a time in Python ints."""
+        rng = np.random.default_rng(5)
+        states = rng.integers(0, 2**64, size=(12, 4), dtype=np.uint64, endpoint=False)
+        states[0] = (1, 0, 0, 0)
+        states[1] = (0, 0, 0, 1 << 63)
+        jumped = sampler._jump(states)
+        for row, got in zip(states, jumped):
+            state = tuple(int(w) for w in row)
+            for _ in range(K):
+                state = scalar_step(state)
+            assert tuple(int(w) for w in got) == state
+        assert not sampler._jump_columns().flags.writeable
+
+    def test_empty_draw_is_empty_float_array(self):
+        u = uniforms(3, 0)
+        assert u.shape == (0,)
+        assert u.dtype == np.float64
+
     def test_equals_numpy_oracle_bit_for_bit(self):
-        sizes = (1, 65535, 65536, 65537, 131073)
+        """Sizes end inside, at and past a lane of K draws and a chunk."""
+        sizes = (0, 1, K - 1, K, K + 1, 65535, 65536, 65537, 131073, 262144)
         seeds = (0, 7, 2**64 + 5, -3)
         ref = oracle_uniforms(seeds, max(sizes))
         for seed in seeds:
