@@ -50,6 +50,8 @@ _CHUNK = 65536
 
 _LANE = 128
 
+_BIT = np.arange(64, dtype=np.uint64)
+
 _BLOCK = 8192
 
 COVERAGE_TOL = 1e-6
@@ -99,11 +101,11 @@ def _jump_columns() -> np.ndarray:
 def _jump(states: np.ndarray) -> np.ndarray:
     """J s for every row s of a (rows, 4) uint64 array of states: the XOR
     of J's columns at the set bits of s."""
-    # little-endian bytes of the four words, least significant bit first,
-    # give bit b of the state at index b = 64 word + bit
-    raw = np.ascontiguousarray(states, dtype="<u8").view(np.uint8)
-    bits = np.unpackbits(raw, axis=1, bitorder="little")
-    return np.bitwise_xor.reduce(_jump_columns() * bits[:, None, :], axis=2)
+    # bit b = 64 word + i of each state as a 0/1 uint64 factor; uint64
+    # shifts and masks reuse the draws' numpy loops, where unpackbits' uint8
+    # bits needed a cast that added code pages to the resident set
+    bits = (states[:, :, None] >> _BIT) & 1
+    return np.bitwise_xor.reduce(_jump_columns() * bits.reshape(-1, 1, 256), axis=2)
 
 
 def uniforms(seed: int, n: int) -> np.ndarray:
@@ -136,7 +138,10 @@ def uniforms(seed: int, n: int) -> np.ndarray:
         t |= w
         t *= 9
         t >>= 11
-        out[:, k] = t
+        # t < 2^53, so its int64 view is the same number; numpy's int64 to
+        # float64 cast is already loaded, where a uint64 cast added 0.1 MB
+        # of code pages to the resident set
+        out[:, k] = t.view(np.int64)
         _advance(s, w)
     # each output >> 11 is below 2^53, so it is stored exactly and the
     # power-of-two scale leaves the 53 bits unchanged
