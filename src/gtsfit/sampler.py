@@ -1,12 +1,13 @@
 """Inverse-CDF sampling from the numerically inverted distribution.
 
 Uniform variates come from xoshiro256** (Blackman-Vigna), seeded through
-splitmix64; both are written out here, in `_splitmix64` and `_advance`, so
-every seeded constant in the tests is reproducible from this file alone.
-Draws are produced in fixed chunks of 65536. Chunk c starts from the state
-of four splitmix64 outputs seeded by the c-th splitmix64 output of the
-master seed (an all-zero state, which xoshiro never leaves, gets s0 = 1). A
-uniform is the top 53 bits of a xoshiro256** output times 2^-53, in [0, 1).
+splitmix64; both are written out here, in `_splitmix64`, `_advance` and
+`uniforms`, so every seeded constant in the tests is reproducible from this
+file alone. Draws are produced in fixed chunks of 65536. Chunk c starts
+from the state of four splitmix64 outputs seeded by the c-th splitmix64
+output of the master seed (an all-zero state, which xoshiro never leaves,
+gets s0 = 1). A uniform is the top 53 bits of a xoshiro256** output times
+2^-53, in [0, 1).
 
 The xoshiro state update s <- A s is linear over GF(2), so s advanced
 _LANE = 128 steps is J s with J = A^128, a 256x256 bit matrix. `uniforms`

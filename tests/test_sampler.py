@@ -144,8 +144,8 @@ class TestUniforms:
 
     def test_zero_chunk_state_starts_from_one(self, monkeypatch):
         """An all-zero chunk state is replaced by (1, 0, 0, 0). No seed is
-        known to give one, so splitmix64 is patched to: every chunk then
-        repeats that state's scalar stream, across lane boundaries."""
+        known to give one, so splitmix64 is patched to return zeros; every
+        chunk then repeats that state's scalar stream, across lanes."""
         monkeypatch.setattr(sampler, "_splitmix64", lambda state, count: [0] * count)
         n = 2 * K + 5
         want = scalar_uniforms((1, 0, 0, 0), n)
