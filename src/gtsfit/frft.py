@@ -224,12 +224,14 @@ def _half_nodes(grid: GridSpec):
     return h, h * np.arange(size)
 
 
-def _spectrum(p: GtsParams, grid: GridSpec, xi: np.ndarray, out=None) -> np.ndarray:
+def _spectrum(
+    p: GtsParams, grid: GridSpec, xi: np.ndarray, out=None, work=None
+) -> np.ndarray:
     """Phi(xi_j) e^{-i x_{n-1} xi_j} / dx at the nodes xi, the phase and the
-    scale folded into the exponent (phased_cf); _window inverts rows built
-    on it."""
+    scale folded into the exponent (phased_cf, through out and its float
+    scratch work); _window inverts rows built on it."""
     x_last = grid.x_center + (grid.n - 1 - grid.n // 2) * grid.dx
-    return phased_cf(p, xi, x_last, -math.log(grid.dx), out)
+    return phased_cf(p, xi, x_last, -math.log(grid.dx), out, work)
 
 
 def _window(rows: np.ndarray, grid: GridSpec, out=None) -> np.ndarray:
@@ -327,19 +329,45 @@ def density_field(p: GtsParams, grid: GridSpec) -> Field:
     return Field(grid, _field_batch(p, grid, 1)[0], "density")
 
 
+class _Workspace:
+    """Memory that the field batches of one fit share: one float buffer, from
+    which each batch carves its spectra and psi_jet block, the block's
+    scratch rows and its irfft and rfft outputs. It grows to the largest
+    batch so far and is then reused, so a fit faults those pages in once
+    rather than once per batch. A batch's views are valid until the next
+    batch carves."""
+
+    def __init__(self):
+        self._flat = np.empty(0)
+
+    def carve(self, *sizes):
+        """Consecutive views of the given numbers of floats, each starting on
+        a 64-byte boundary of the buffer."""
+        starts = np.cumsum([0] + [-(-s // 8) * 8 for s in sizes])
+        if self._flat.size < starts[-1]:
+            self._flat = np.empty(0)
+            self._flat = np.empty(starts[-1])
+        return [self._flat[a : a + s] for a, s in zip(starts, sizes)]
+
+
 def _field_batch(
-    p: GtsParams, grid: GridSpec, level: int, read=None, scatter=None, deconvolve=None
+    p: GtsParams,
+    grid: GridSpec,
+    level: int,
+    read=None,
+    scatter=None,
+    deconvolve=None,
+    work: _Workspace = None,
 ):
     """The density row, then (level 8 and 36) the 7 gradient rows, inverted
     by _window from one phased spectrum S_j = Phi(xi_j) e^{-i x_{n-1} xi_j}
     / dx (_spectrum, module docstring). d/dV e^Psi = (dPsi/dV) e^Psi, so a
-    gradient row is S times a psi_jet row. A level-1 batch builds S in the
-    row it inverts.
+    gradient row is S times a psi_jet row.
 
-    Rows are built and inverted a few at a time. read, if given, maps each
-    block of rows on the grid, shape (rows, n), to what is kept of it (the
-    rows read at the data points, say), and the kept blocks are stacked; the
-    batch then never holds its spectra or grid rows all at once.
+    read, if given, maps each block of inverted rows on the grid, shape
+    (rows, n), to what is kept of it (the rows read at the data points,
+    say), and the kept blocks are stacked; the batch then never holds its
+    grid rows all at once.
 
     deconvolve, if given, is a real row over the spectrum nodes (the kernel
     read's 1 / K-hat(xi_j dx)) that multiplies S before any row is built; S
@@ -354,55 +382,74 @@ def _field_batch(
     (module docstring). The density must be positive and finite at every
     read point, else LikelihoodError. scatter at level 1 or 8, or level 36
     without it, is a DomainError.
+
+    The batch's large arrays come from work (a fresh _Workspace if None):
+    the spectrum S and the (17, J) psi_jet block in one (18, J) complex
+    block, (level-1: S alone), an irfft output of a few rows, and one
+    scratch area that the spectrum's float rows, the jet's and the rfft
+    output take in turn. The gradient rows are formed in place, S times the
+    jet rows, once the curvature sums have read the jet; the density row is
+    inverted first, since the sums need 1 / f. The returned arrays never
+    share memory with work.
     """
     if level not in (1, 8, 36):
         raise DomainError(f"field batch level must be 1, 8 or 36, got {level}")
     if (level == 36) != (scatter is not None):
         raise DomainError("a field batch takes scatter at level 36 and only there")
     _check_tail(p, grid)
-    _, xi = _half_nodes(grid)
-    inverted = min(level, 8)
-    # one spectra and one irfft buffer per batch, reused by every block;
-    # allocated per block, they went back to the system and were faulted
-    # in again
-    step = min(inverted, max(1, _BLOCK_POINTS // (_PAD * grid.n)))
-    block = np.empty((step, xi.size), dtype=complex)
-    out = np.empty((step, _PAD * grid.n))
-    # a level-1 batch builds its one spectrum in the row it inverts
-    spec = _spectrum(p, grid, xi, block[0] if level == 1 else None)
+    h, size = _half_size(grid)
+    n_out = _PAD * grid.n
+    # irfft rows per block: the 2 MB _BLOCK_POINTS bound, at least one row
+    step = min(level, 7, max(1, _BLOCK_POINTS // n_out))
+    height = 1 if level == 1 else 18
+    xi, block, out, scratch = (work or _Workspace()).carve(
+        size, 2 * height * size, step * n_out, max(6 * size, n_out + 2)
+    )
+    np.multiply(np.arange(size), h, out=xi)
+    block = block.view(complex).reshape(height, size)
+    out = out.reshape(step, n_out)
+    spec = _spectrum(p, grid, xi, block[0], scratch[: 6 * size].reshape(6, size))
     if deconvolve is not None:
         spec *= deconvolve
-    if level >= 8:
-        gp, hp = psi_jet(p, xi)
-    kept = []
-    for lo in range(0, inverted, step):
-        rows = block[: min(step, inverted - lo)]
-        for i, row in enumerate(rows, lo):
-            if i == 0:
-                if level > 1:
-                    row[:] = spec
-                continue
-            row[:] = gp[i - 1]
-            row *= spec
-        kept.append((read or np.copy)(_window(rows, grid, out[: len(rows)])))
-    vals = kept[0] if len(kept) == 1 else np.concatenate(kept)
-    if level < 36:
-        return vals
-    _check_density(vals[0])
-    # the window's transpose: 1 / f onto the grid, at irfft output n - 1 - k
-    v = out[0]
+    read = read or np.copy
+    kept = [read(_window(block[:1], grid, out[:1]))]
+    if level == 1:
+        return kept[0]
+    gp, hp = psi_jet(p, xi, block[1:], scratch[: 3 * size].reshape(3, size))
+    if level == 36:
+        _check_density(kept[0][0])
+        curv = _curvature(grid, scatter(1.0 / kept[0][0]), spec, gp, hp, out[0], scratch)
+    gp *= spec
+    for lo in range(1, 8, step):
+        rows = block[lo : min(lo + step, 8)]
+        kept.append(read(_window(rows, grid, out[: len(rows)])))
+    vals = np.concatenate(kept)
+    return vals if level == 8 else (vals, curv)
+
+
+def _curvature(grid: GridSpec, u_grid, spec, gp, hp, v, scratch):
+    """The level-36 curvature sums C[r, s] = sum over the read points of
+    f_rs / f, from the weights 1 / f scattered onto the grid (u_grid), the
+    spectrum S and the psi_jet rows gp, hp (module docstring). v is an
+    irfft-output row and scratch a float area of at least _PAD n + 2 floats;
+    the Hessian rows of the jet are spent as scratch."""
+    n_out = _PAD * grid.n
+    # the window's transpose: u_grid at irfft output n - 1 - k for node k
     v[:] = 0.0
-    v[grid.n - 1 :: -1] = scatter(1.0 / vals[0])
-    b = np.conj(np.fft.rfft(v)[: xi.size])
-    b[1 : _PAD * grid.n // 2] *= 2.0
+    v[grid.n - 1 :: -1] = u_grid
+    b = np.fft.rfft(v, out=scratch[: n_out + 2].view(complex))[: spec.size]
+    np.conjugate(b, out=b)
+    b[1 : n_out // 2] *= 2.0
     b *= spec
-    b /= _PAD * grid.n
-    curv = np.empty((7, 7))
-    for r in range(7):
-        curv[r, r:] = (gp[r:] @ (gp[r] * b)).real
+    b /= n_out
+    curv = np.zeros((7, 7))
     for (r, s), row in hp.items():
-        curv[r, s] += (b @ row).real
-    return vals, np.triu(curv) + np.triu(curv, 1).T
+        curv[r, s] = (b @ row).real
+    tmp = next(iter(hp.values()))
+    for r in range(7):
+        np.multiply(gp[r], b, out=tmp)
+        curv[r, r:] += (gp[r:] @ tmp).real
+    return np.triu(curv) + np.triu(curv, 1).T
 
 
 def cdf_field(p: GtsParams, grid: GridSpec) -> Field:

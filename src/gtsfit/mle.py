@@ -47,6 +47,7 @@ from .frft import (
     TAIL_TOL_LADDER,
     GridSpec,
     _KernelRead,
+    _Workspace,
     _check_atom,
     _check_density,
     _field_batch,
@@ -134,21 +135,24 @@ def _as_data(data) -> np.ndarray:
 
 
 class _GridContext(NamedTuple):
-    """A fixed likelihood grid with the sample's kernel read on it."""
+    """A fixed likelihood grid with the sample's kernel read on it, and the
+    workspace its field batches carve their large arrays from."""
 
     grid: GridSpec
     read: _KernelRead
+    work: _Workspace
 
 
-def _grid_context(p: GtsParams, y: np.ndarray) -> _GridContext:
+def _grid_context(p: GtsParams, y: np.ndarray, work: _Workspace = None) -> _GridContext:
     """The likelihood grid of p for the sample y: auto_grid's grid with n
     halved and dx doubled. The x range, xi_max, tail_tol, the spectrum
     nodes xi_j = 2 pi j / (4 n dx) and the alias period 4 n dx stay those of
     auto_grid's grid, and xi_max dx stays <= pi; the kernel read is accurate
-    there on the coarser grid (module docstring)."""
+    there on the coarser grid (module docstring). The contexts of one fit
+    share its workspace, work (a new one if None)."""
     full = auto_grid(p, float(y.min()), float(y.max()))
     grid = replace(full, n=full.n // 2, dx=2.0 * full.dx)
-    return _GridContext(grid, _kernel_read(grid, y))
+    return _GridContext(grid, _kernel_read(grid, y), work or _Workspace())
 
 
 def _evaluate(p: GtsParams, y: np.ndarray, level: int, ctx: _GridContext = None):
@@ -159,13 +163,12 @@ def _evaluate(p: GtsParams, y: np.ndarray, level: int, ctx: _GridContext = None)
     inversion, so the Hessian is C - sum (df/f)(df/f)^T."""
     if ctx is None:
         ctx = _grid_context(p, y)
-    grid, read = ctx
+    grid, read, work = ctx
+    kw = dict(read=read, deconvolve=read.deconvolve, work=work)
     if level == 36:
-        vals, curv = _field_batch(
-            p, grid, 36, read=read, scatter=read.scatter, deconvolve=read.deconvolve
-        )
+        vals, curv = _field_batch(p, grid, 36, scatter=read.scatter, **kw)
     else:
-        vals = _field_batch(p, grid, level, read=read, deconvolve=read.deconvolve)
+        vals = _field_batch(p, grid, level, **kw)
         _check_density(vals[0])
     fi = vals[0]
     ll = float(np.sum(np.log(fi)))
@@ -229,7 +232,7 @@ def _try_candidate(v: np.ndarray, y: np.ndarray, ctx: _GridContext):
         try:
             return p, _evaluate(p, y, 1, ctx)[0], ctx
         except GridError:
-            own = _grid_context(p, y)
+            own = _grid_context(p, y, ctx.work)
             return p, _evaluate(p, y, 1, own)[0], own
     except _EVAL_ERRORS:
         return None
@@ -284,9 +287,10 @@ def fit(data, opts: FitOptions = FitOptions()):
     rows = []
     crawl = 0
     radius = _RADIUS0
+    work = _Workspace()
     for it in range(1, opts.max_iter + 1):
         try:
-            ctx = _grid_context(p, y)
+            ctx = _grid_context(p, y, work)
             ll, sc, hess = _evaluate(p, y, 36, ctx)
         except _EVAL_ERRORS as exc:
             if not rows:

@@ -242,19 +242,22 @@ def _tail_parts(p: GtsParams, xi: np.ndarray, re: np.ndarray, im: np.ndarray, wo
         re += tmp
 
 
-def phased_cf(p: GtsParams, xi, shift: float = 0.0, log_scale: float = 0.0, out=None):
+def phased_cf(
+    p: GtsParams, xi, shift: float = 0.0, log_scale: float = 0.0, out=None, work=None
+):
     """exp(log_scale) Phi(xi) e^{-i shift xi} = exp(re + i (lin + im)) at the
     float nodes xi, lin = (mu - shift) xi and (re, im) the tail terms from
     _tail_parts, plus log_scale: one real exp and one cos/sin pair, written
     through out.real and out.imag (a new complex array if out is None). The
-    call holds six float rows besides out.
+    call works in six float rows, work if given, else a new (6, n) array.
 
     lin reaches about 2e5 rad on a fit's largest grids, where the rounded
     sum s = lin + im drops the low bits of im: 1.5e-11 rad, as much relative
     error where |Phi| has not decayed. Its rounding error e is recovered
     exactly (Knuth's TwoSum) and applied to first order,
     e^{i(s + e)} = e^{is} (1 + i e), |e| <= 2^-53 |s|."""
-    work = np.empty((6, xi.size))
+    if work is None:
+        work = np.empty((6, xi.size))
     re, im = work[0], work[1]
     re.fill(log_scale)
     im.fill(0.0)
@@ -324,89 +327,160 @@ def cf_modulus(p: GtsParams, xi: float) -> float:
     return math.exp(re)
 
 
-def _side_derivs(alpha, beta, lam, w):
-    """First and second partials of one tail term in (alpha, beta, lambda).
+def _tail_jet(alpha, beta, lam, sign, xi, rows, work):
+    """Write one tail's 3 gradient and 5 Hessian rows of Psi into rows, in
+    the order (beta, alpha, lambda) and (beta-beta, beta-alpha,
+    beta-lambda, alpha-lambda, lambda-lambda), in real arithmetic through
+    the three float rows of work.
 
-    Keys: a, b, l (first order) and ab, al, bb, bl, ll. The mu row and the
-    cross-tail blocks of the Hessian are identically zero and handled by
-    the callers.
-    """
-    L = np.log(w)
+    With q = sign xi / lambda (sign -1 on the plus tail, w = lambda - i xi)
+    as in _tail_parts, w = lambda (1 + i q), so
+
+        P = log(w / lambda) = log1p(q^2) / 2 + i atan(q),
+        u = lambda / w = (1 - i q) / (1 + q^2),
+        z = (w / lambda)^beta = exp(beta log1p(q^2) / 2) cis(beta atan(q)).
+
+    Off the beta -> 0 window, with K = Gamma(-beta) lambda^beta,
+    m0 = log lambda - digamma(-beta), M = P + m0, p1 = trigamma(-beta) and
+    c = 1 + beta m0, the partials of alpha Gamma(-beta) (w^beta - lambda^beta)
+    are
+
+        a  = K (z - 1)                  ab = K (z M - m0)
+        bb = alpha K (z (M^2 + p1) - (m0^2 + p1))
+        al = K beta / lambda (z u - 1)
+        bl = alpha K / lambda (z u (beta P + c) - c)
+        ll = alpha K beta (beta - 1) / lambda^2 (z u^2 - 1)
+
+    and b = alpha ab, l = alpha al. (bl keeps P and c apart: m0 ~ -1 / beta
+    is large near the window, and 1 + beta M would round away P's low
+    bits.) Inside the window the partials are the series values at
+    beta = 0: with c1 = gamma + log lambda and
+    c0 = 2 C2 + 2 gamma log lambda + log^2 lambda,
+
+        a  = -P                         ab = -P (c1 + P / 2)
+        bb = -alpha P (c0 + c1 P + P^2 / 3)
+        al = (1 - u) / lambda           bl = -alpha / lambda ((c1 + P) u - c1)
+        ll = alpha / lambda^2 (u^2 - 1)
+
+    M, P, u and z are built in rows that are written last. A tail with
+    alpha = 0 gets zero rows except a, ab and al."""
+    b, a, l, bb, ab, bl, al, ll = rows
+    q, t, e = work
+    np.divide(xi, sign * lam, out=q)
+    np.multiply(q, q, out=t)
+    np.log1p(t, out=e)
+    # u = 1 / (1 + i q) in l, from t = -(1 + q^2)
+    np.subtract(-1.0, t, out=t)
+    np.divide(-1.0, t, out=l.real)
+    np.divide(q, t, out=l.imag)
     ln_lam = math.log(lam)
     if abs(beta) < BETA_LIMIT:
-        # series values at the limit point beta = 0: with D_k = L^k - log^k(lambda),
-        # Gamma(-beta)(w^beta - lam^beta) = -D1 - beta(g D1 + D2/2) - ...
-        d1 = L - ln_lam
-        d2 = L * L - ln_lam**2
-        d3 = L * L * L - ln_lam**3
-        g0 = -d1
-        g1 = -(np.euler_gamma * d1 + 0.5 * d2)
-        g2 = -(2.0 * _C2 * d1 + np.euler_gamma * d2 + d3 / 3.0)
-        iw = 1.0 / w
-        il = 1.0 / lam
-        e0 = il - iw
-        return {
-            "a": g0,
-            "b": alpha * g1,
-            "l": alpha * e0,
-            "ab": g1,
-            "al": e0,
-            "bb": alpha * g2,
-            "bl": -alpha * (np.euler_gamma * (iw - il) + L * iw - ln_lam * il),
-            "ll": alpha * (iw * iw - il * il),
-        }
-    g = gamma_real(-beta)
-    p0 = digamma(-beta)
-    p1 = trigamma(-beta)
-    # w^beta from the log already taken, then one division per lower power
-    wb = np.exp(beta * L)
-    wb1 = wb / w
-    lb = lam**beta
-    lb1 = lam ** (beta - 1.0)
-    d0 = wb - lb
-    d1 = wb * L - lb * ln_lam
-    d2 = wb * L * L - lb * ln_lam**2
-    e0 = wb1 - lb1
-    e1 = wb1 * L - lb1 * ln_lam
-    return {
-        "a": g * d0,
-        "b": alpha * g * (d1 - p0 * d0),
-        "l": alpha * g * beta * e0,
-        "ab": g * (d1 - p0 * d0),
-        "al": g * beta * e0,
-        "bb": alpha * g * ((p0 * p0 + p1) * d0 - 2.0 * p0 * d1 + d2),
-        "bl": alpha * g * ((1.0 - beta * p0) * e0 + beta * e1),
-        "ll": alpha * g * beta * (beta - 1.0) * (wb1 / w - lam ** (beta - 2.0)),
-    }
+        c1 = np.euler_gamma + ln_lam
+        c0 = 2.0 * _C2 + (2.0 * np.euler_gamma + ln_lam) * ln_lam
+        # P in a
+        np.multiply(e, 0.5, out=a.real)
+        np.arctan(q, out=a.imag)
+        np.multiply(a, -0.5, out=ab)
+        ab -= c1
+        ab *= a
+        np.multiply(a, -alpha / 3.0, out=bb)
+        bb -= alpha * c1
+        bb *= a
+        bb -= alpha * c0
+        bb *= a
+        np.add(a, c1, out=bl)
+        bl *= l
+        bl -= c1
+        bl *= -alpha / lam
+        np.multiply(l, l, out=ll)
+        ll -= 1.0
+        ll *= alpha / lam**2
+        np.subtract(1.0, l, out=al)
+        al *= 1.0 / lam
+        np.negative(a, out=a)
+    else:
+        g = gamma_real(-beta)
+        p0 = digamma(-beta)
+        p1 = trigamma(-beta)
+        k = g * lam**beta
+        m0 = ln_lam - p0
+        c = 1.0 + beta * m0
+        # P in b, z in a, z u in al
+        np.multiply(e, 0.5, out=b.real)
+        np.arctan(q, out=b.imag)
+        e *= 0.5 * beta
+        np.exp(e, out=e)
+        np.multiply(b.imag, beta, out=q)
+        np.cos(q, out=a.real)
+        np.sin(q, out=a.imag)
+        a.real *= e
+        a.imag *= e
+        np.multiply(a, l, out=al)
+        np.multiply(b, beta, out=bl)
+        bl += c
+        bl *= al
+        bl -= c
+        bl *= alpha * k / lam
+        np.multiply(al, l, out=ll)
+        ll -= 1.0
+        ll *= alpha * k * beta * (beta - 1.0) / lam**2
+        al -= 1.0
+        al *= k * beta / lam
+        # M = P + m0 in b
+        b.real += m0
+        np.multiply(a, b, out=ab)
+        ab -= m0
+        ab *= k
+        np.multiply(b, b, out=bb)
+        bb += p1
+        bb *= a
+        bb -= m0 * m0 + p1
+        bb *= alpha * k
+        a -= 1.0
+        a *= k
+    np.multiply(ab, alpha, out=b)
+    np.multiply(al, alpha, out=l)
 
 
-def psi_jet(p: GtsParams, xi):
-    """Gradient and Hessian of Psi in the parameters at the nodes xi, from one
-    _side_derivs call per tail.
+# the 10 nonzero upper-triangle Hessian entries, in psi_jet's row order
+# (rows 7 to 16 of its block): per tail, beta-beta, beta-alpha,
+# beta-lambda, alpha-lambda, lambda-lambda
+_JET_PAIRS = tuple(
+    pair
+    for b, a, l in ((1, 3, 5), (2, 4, 6))
+    for pair in ((b, b), (b, a), (b, l), (a, l), (l, l))
+)
 
-    Returns (grad, hess): grad is the (7, n) complex dPsi/dV, V ordered as
-    PARAM_NAMES; hess maps each of the 10 nonzero upper-triangle pairs
-    (r, s), r <= s, to its (n,) row of d2Psi/dVrdVs. Every other entry is
-    zero: the mu row and column, the cross-tail blocks, and alpha-alpha
-    (Psi is linear in alpha)."""
+
+def psi_jet(p: GtsParams, xi, out=None, work=None):
+    """Gradient and Hessian of Psi in the parameters at the float nodes xi,
+    written into one (17, n) complex block: rows 0 to 6 are dPsi/dV, V
+    ordered as PARAM_NAMES, and rows 7 to 16 the 10 Hessian entries that
+    are not identically zero, in the order of _JET_PAIRS. Every other entry
+    is zero: the mu row and column, the cross-tail blocks, and alpha-alpha
+    (Psi is linear in alpha). Each tail is built by _tail_jet in real
+    arithmetic, with no complex log, power or division.
+
+    The block is out if given, else a new array, and work is a (3, n) float
+    scratch array (a new one if None). Returns (grad, hess): grad is the
+    block's first 7 rows and hess maps each pair (r, s), r <= s, of
+    _JET_PAIRS to its row; both are views of the block."""
     arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    grad = np.empty((7, arr.size), dtype=complex)
-    grad[0] = 1j * arr
-    hess = {}
+    if out is None:
+        out = np.empty((17, arr.size), dtype=complex)
+    if work is None:
+        work = np.empty((3, arr.size))
+    out[0].real = 0.0
+    out[0].imag = arr
     tails = (
-        (p.alpha_plus, p.beta_plus, p.lambda_plus, p.lambda_plus - 1j * arr),
-        (p.alpha_minus, p.beta_minus, p.lambda_minus, p.lambda_minus + 1j * arr),
+        (p.alpha_plus, p.beta_plus, p.lambda_plus, -1.0),
+        (p.alpha_minus, p.beta_minus, p.lambda_minus, 1.0),
     )
-    for side, (alpha, beta, lam, w) in enumerate(tails):
-        d = _side_derivs(alpha, beta, lam, w)
+    for side, (alpha, beta, lam, sign) in enumerate(tails):
         b, a, l = 1 + side, 3 + side, 5 + side
-        grad[b], grad[a], grad[l] = d["b"], d["a"], d["l"]
-        hess[b, b] = d["bb"]
-        hess[b, a] = d["ab"]
-        hess[b, l] = d["bl"]
-        hess[a, l] = d["al"]
-        hess[l, l] = d["ll"]
-    return grad, hess
+        hess_rows = out[7 + 5 * side : 12 + 5 * side]
+        _tail_jet(alpha, beta, lam, sign, arr, (out[b], out[a], out[l], *hess_rows), work)
+    return out[:7], dict(zip(_JET_PAIRS, out[7:]))
 
 
 def grad_psi(p: GtsParams, xi):

@@ -20,6 +20,7 @@ from gtsfit.frft import (
     TAIL_TOL_LADDER,
     Field,
     GridSpec,
+    _Workspace,
     _check_tail,
     _field_batch,
     _half_nodes,
@@ -297,6 +298,44 @@ class TestBatchReadInBlocks:
         for level in (1, 8):
             with pytest.raises(DomainError, match="scatter"):
                 _field_batch(spy_params, g, level, read=read, scatter=scatter)
+
+
+class TestWorkspace:
+    """The field batches of a fit carve their large arrays from one
+    _Workspace; reusing it must be invisible in the results."""
+
+    @staticmethod
+    def _batch(p, g, work):
+        read = _kernel_read(g, np.linspace(-3.0, 3.0, 500))
+        return _field_batch(
+            p, g, 36, read=read, scatter=read.scatter, deconvolve=read.deconvolve, work=work
+        )
+
+    def test_reuse_across_grids_is_bit_identical(self, spy_params):
+        """A level-36 batch on grid A, then on grid B (twice the n, so the
+        buffer is reallocated), then on A again, all on one workspace: both
+        A batches equal a batch on a fresh workspace bit for bit, and the
+        first A result is unchanged by the later batches."""
+        ga = auto_grid(spy_params, -30.0, 30.0)
+        gb = replace(ga, n=2 * ga.n, dx=ga.dx / 2)
+        work = _Workspace()
+        first = self._batch(spy_params, ga, work)
+        kept = [a.copy() for a in first]
+        self._batch(spy_params, gb, work)
+        again = self._batch(spy_params, ga, work)
+        fresh = self._batch(spy_params, ga, None)
+        for got in (first, again, kept):
+            assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
+
+    @pytest.mark.parametrize("level", [1, 8])
+    def test_results_never_share_the_workspace(self, spy_params, level):
+        g = auto_grid(spy_params, -30.0, 30.0)
+        work = _Workspace()
+        vals = _field_batch(spy_params, g, level, work=work)
+        assert not np.shares_memory(vals, work._flat)
+        read = _kernel_read(g, np.linspace(-3.0, 3.0, 500))
+        vals = _field_batch(spy_params, g, level, read=read, work=work)
+        assert not np.shares_memory(vals, work._flat)
 
 
 def test_heavy_left_tail_does_not_alias(cf_oracle):

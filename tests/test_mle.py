@@ -245,6 +245,20 @@ class TestFit:
         assert levels.count(36) == len(trace.rows)
         assert levels.count(1) == len(levels) - len(trace.rows) > 0
 
+    def test_fit_batches_share_one_workspace(self, monkeypatch, spy_params, spy_sample_600):
+        """Every field batch of a fit, on any grid, carves one workspace, so
+        the fit faults its large arrays in once rather than per batch."""
+        works = []
+        real = mle._field_batch
+
+        def recorded(p, grid, level, **kw):
+            works.append(kw["work"])
+            return real(p, grid, level, **kw)
+
+        monkeypatch.setattr(mle, "_field_batch", recorded)
+        fit(spy_sample_600, FitOptions(init=spy_params, tol_grad=1e-6))
+        assert len(works) > 2 and all(w is works[0] for w in works)
+
     def test_unreadable_iterate_raises_with_trace(
         self, monkeypatch, spy_params, spy_sample_600
     ):

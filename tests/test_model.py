@@ -7,7 +7,9 @@ gradient and Hessian here must land on them without seeing the reference.
 
 import cmath
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,9 +18,9 @@ from hypothesis import strategies as st
 from gtsfit.errors import DomainError
 from gtsfit.special import digamma, gamma_real, trigamma
 from gtsfit.model import (
+    BETA_LIMIT,
     GbmParams,
     GtsParams,
-    _side_derivs,
     atom_mass,
     characteristic_exponent,
     characteristic_function,
@@ -300,6 +302,68 @@ HESS_REFERENCE = {
 }
 
 
+# second-order Taylor coefficient of Gamma(z) about z = 0
+_C2 = 0.5 * np.euler_gamma**2 + math.pi**2 / 12.0
+
+
+def _side_derivs(alpha, beta, lam, w):
+    """Test oracle: first and second partials of one tail term in (alpha,
+    beta, lambda) at the complex nodes w = lambda -+ i xi, from the complex
+    log L = log w and w^beta = exp(beta L), w^(beta-1) = w^beta / w. This is
+    the form psi_jet took before it moved to real arithmetic.
+
+    Keys: a, b, l (first order) and ab, al, bb, bl, ll. The mu row and the
+    cross-tail blocks of the Hessian are identically zero.
+    """
+    L = np.log(w)
+    ln_lam = math.log(lam)
+    if abs(beta) < BETA_LIMIT:
+        # series values at the limit point beta = 0: with D_k = L^k - log^k(lambda),
+        # Gamma(-beta)(w^beta - lam^beta) = -D1 - beta(g D1 + D2/2) - ...
+        d1 = L - ln_lam
+        d2 = L * L - ln_lam**2
+        d3 = L * L * L - ln_lam**3
+        g0 = -d1
+        g1 = -(np.euler_gamma * d1 + 0.5 * d2)
+        g2 = -(2.0 * _C2 * d1 + np.euler_gamma * d2 + d3 / 3.0)
+        iw = 1.0 / w
+        il = 1.0 / lam
+        e0 = il - iw
+        return {
+            "a": g0,
+            "b": alpha * g1,
+            "l": alpha * e0,
+            "ab": g1,
+            "al": e0,
+            "bb": alpha * g2,
+            "bl": -alpha * (np.euler_gamma * (iw - il) + L * iw - ln_lam * il),
+            "ll": alpha * (iw * iw - il * il),
+        }
+    g = gamma_real(-beta)
+    p0 = digamma(-beta)
+    p1 = trigamma(-beta)
+    # w^beta from the log already taken, then one division per lower power
+    wb = np.exp(beta * L)
+    wb1 = wb / w
+    lb = lam**beta
+    lb1 = lam ** (beta - 1.0)
+    d0 = wb - lb
+    d1 = wb * L - lb * ln_lam
+    d2 = wb * L * L - lb * ln_lam**2
+    e0 = wb1 - lb1
+    e1 = wb1 * L - lb1 * ln_lam
+    return {
+        "a": g * d0,
+        "b": alpha * g * (d1 - p0 * d0),
+        "l": alpha * g * beta * e0,
+        "ab": g * (d1 - p0 * d0),
+        "al": g * beta * e0,
+        "bb": alpha * g * ((p0 * p0 + p1) * d0 - 2.0 * p0 * d1 + d2),
+        "bl": alpha * g * ((1.0 - beta * p0) * e0 + beta * e1),
+        "ll": alpha * g * beta * (beta - 1.0) * (wb1 / w - lam ** (beta - 2.0)),
+    }
+
+
 def _side_derivs_unfused(alpha, beta, lam, w):
     """_side_derivs off the beta -> 0 branch with each complex power of w
     taken on its own, as w**beta, w**(beta - 1) and w**(beta - 2)."""
@@ -325,6 +389,186 @@ def _side_derivs_unfused(alpha, beta, lam, w):
         "bl": alpha * g * ((1.0 - beta * p0) * e0 + beta * e1),
         "ll": alpha * g * beta * (beta - 1.0) * (w ** (beta - 2.0) - lam ** (beta - 2.0)),
     }
+
+
+def _side_derivs_mp(alpha, beta, lam, sign, xi):
+    """The rows of _side_derivs at w = lambda + sign i xi, evaluated in
+    40-digit mpmath from the same complex-log formulas and rounded once.
+    Gamma(-beta), digamma(-beta) and trigamma(-beta) are the package's own
+    float values (checked in test_special.py), so the oracle measures the
+    arithmetic of the jet, not those constants. Off the beta -> 0 window
+    only."""
+    with mpmath.workdps(40):
+        g = mpmath.mpf(gamma_real(-beta))
+        p0 = mpmath.mpf(digamma(-beta))
+        p1 = mpmath.mpf(trigamma(-beta))
+        a, b, lm = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(lam)
+        ln_lam = mpmath.log(lm)
+        lb, lb1, lb2 = lm**b, lm ** (b - 1), lm ** (b - 2)
+        rows = {k: [] for k in ("b", "a", "l", "bb", "ab", "bl", "al", "ll")}
+        for x in xi:
+            w = mpmath.mpc(lm, sign * mpmath.mpf(x))
+            L = mpmath.log(w)
+            wb = mpmath.exp(b * L)
+            d0, d1 = wb - lb, wb * L - lb * ln_lam
+            d2 = wb * L * L - lb * ln_lam**2
+            e0, e1 = wb / w - lb1, wb / w * L - lb1 * ln_lam
+            ab = g * (d1 - p0 * d0)
+            al = g * b * e0
+            vals = {
+                "b": a * ab,
+                "a": g * d0,
+                "l": a * al,
+                "bb": a * g * ((p0 * p0 + p1) * d0 - 2 * p0 * d1 + d2),
+                "ab": ab,
+                "bl": a * g * ((1 - b * p0) * e0 + b * e1),
+                "al": al,
+                "ll": a * g * b * (b - 1) * (wb / (w * w) - lb2),
+            }
+            for k, v in vals.items():
+                rows[k].append(complex(v))
+    return {k: np.array(v) for k, v in rows.items()}
+
+
+# a tail's rows in psi_jet: gradient rows (b, a, l) and Hessian pairs
+_TAIL_ROWS = {
+    side: dict(
+        zip(
+            ("b", "a", "l", "bb", "ab", "bl", "al", "ll"),
+            (b, a, l, (b, b), (b, a), (b, l), (a, l), (l, l)),
+        )
+    )
+    for side, (b, a, l) in enumerate(((1, 3, 5), (2, 4, 6)))
+}
+
+
+def _jet_tail(p, xi, side):
+    """One tail's 8 rows of psi_jet, keyed as _side_derivs keys them."""
+    grad, hess = psi_jet(p, xi)
+    return {k: grad[i] if isinstance(i, int) else hess[i] for k, i in _TAIL_ROWS[side].items()}
+
+
+def _tails(p, xi):
+    """(side, alpha, beta, lambda, sign) for the plus and minus tails."""
+    return (
+        (0, p.alpha_plus, p.beta_plus, p.lambda_plus, -1.0),
+        (1, p.alpha_minus, p.beta_minus, p.lambda_minus, 1.0),
+    )
+
+
+def _row_errors(got, want):
+    """Each row's largest gap from want, relative to want's largest entry."""
+    return {k: np.max(np.abs(got[k] - r)) / np.max(np.abs(r)) for k, r in want.items()}
+
+
+class TestJetAgainstOracles:
+    """psi_jet, built in real arithmetic, against the test-only oracles.
+
+    In the beta -> 0 window the complex-log oracle _side_derivs evaluates
+    the same series, and psi_jet matches it to 1e-15 of each row's largest
+    entry. Off the window a 1e-15 gap between two double evaluations is not
+    reachable: near beta = 0 the beta-beta and beta-lambda rows cancel
+    terms of size digamma(-beta)^2 + trigamma(-beta) (268 at the sp500
+    law's minus tail, beta = -0.089), and the complex-log oracle's own error
+    against a 40-digit evaluation is 4.6e-15 of the row there (8.5e-16 on
+    spy). So off the window each row of psi_jet is held, against the
+    40-digit jet _side_derivs_mp, within twice the complex-log oracle's own
+    error or twice 1e-15 of the row, whichever is larger: psi_jet is as
+    accurate as the complex-log jet it replaced. The largest ratio of the
+    error to max(oracle's error, 1e-15) over the laws and the lattice below
+    is 1.83."""
+
+    XI = np.concatenate(([0.0], np.geomspace(1e-3, 1e4, 200)))
+
+    def _assert_as_accurate(self, p, sides=(0, 1), keys=None):
+        for side, alpha, beta, lam, sign in _tails(p, self.XI):
+            if side not in sides:
+                continue
+            exact = _side_derivs_mp(alpha, beta, lam, sign, self.XI)
+            exact = {k: exact[k] for k in keys or exact}
+            oracle = _side_derivs(alpha, beta, lam, lam + sign * 1j * self.XI)
+            got = _row_errors(_jet_tail(p, self.XI, side), exact)
+            ref = _row_errors(oracle, exact)
+            for k in exact:
+                assert got[k] <= 2.0 * max(ref[k], 1e-15), (side, k, got[k], ref[k])
+
+    @pytest.mark.parametrize("law", ["spy_params", "sp500_params", "btc_params"])
+    def test_laws_both_tails(self, request, law):
+        self._assert_as_accurate(request.getfixturevalue(law))
+
+    @pytest.mark.parametrize("beta", [0.95, 0.8, 0.05, -0.05, -0.4, -1.5])
+    @pytest.mark.parametrize("lam", [0.05, 1.2407793, 20.0])
+    def test_lattice(self, beta, lam):
+        """beta < 0 included; the plus tail carries the lattice point and
+        the minus tail its mirror."""
+        self._assert_as_accurate(GtsParams(0.1, beta, beta, 0.6, 0.6, lam, lam))
+
+    @pytest.mark.parametrize("beta", [0.0, 5e-8, -5e-8, -9.9e-8])
+    @pytest.mark.parametrize("lam", [0.05, 1.2407793, 20.0])
+    def test_limit_window_matches_complex_log(self, beta, lam):
+        xi = np.concatenate(([0.0], np.geomspace(1e-3, 1e4, 4000)))
+        p = GtsParams(0.1, beta, beta, 0.6, 0.8, lam, lam)
+        for side, alpha, b, lm, sign in _tails(p, xi):
+            want = _side_derivs(alpha, b, lm, lm + sign * 1j * xi)
+            errors = _row_errors(_jet_tail(p, xi, side), want)
+            assert max(errors.values()) <= 1e-15, errors
+
+    @pytest.mark.parametrize("beta", [0.5, -0.3, 0.0])
+    def test_zero_alpha_tail_keeps_alpha_rows(self, beta):
+        """A tail with alpha = 0 adds nothing to Psi (_tail_parts skips it),
+        but Psi's derivatives in alpha do not vanish: the a, ab and al rows
+        match the oracles and the rows carrying a factor alpha are zero."""
+        p = GtsParams(0.1, beta, 0.3, 0.0, 0.6, 1.3, 0.9)
+        rows = _jet_tail(p, self.XI, 0)
+        alpha_rows = ("a", "ab", "al")
+        for k in alpha_rows:
+            assert np.max(np.abs(rows[k])) > 0.1
+        for k in ("b", "l", "bb", "bl", "ll"):
+            assert np.all(rows[k] == 0.0)
+        if beta == 0.0:
+            want = _side_derivs(0.0, beta, 1.3, 1.3 - 1j * self.XI)
+            errors = _row_errors(rows, {k: want[k] for k in alpha_rows})
+            assert max(errors.values()) <= 1e-15
+        else:
+            self._assert_as_accurate(p, sides=(0,), keys=alpha_rows)
+
+    def test_results_do_not_alias(self, spy_params, sp500_params):
+        """A psi_jet, grad_psi or hess_psi result is its own memory: later
+        calls, on other laws and nodes, leave it unchanged."""
+        xi = np.linspace(0.0, 50.0, 1001)
+        grad, hess = psi_jet(spy_params, xi)
+        g1, h1 = grad_psi(spy_params, xi), hess_psi(spy_params, xi)
+        kept = (grad.copy(), {k: v.copy() for k, v in hess.items()}, g1.copy(), h1.copy())
+        for p, x in ((sp500_params, xi), (sp500_params, 2.0 * xi), (spy_params, xi[:500])):
+            psi_jet(p, x)
+            grad_psi(p, x)
+            hess_psi(p, x)
+        assert np.array_equal(grad, kept[0])
+        assert all(np.array_equal(hess[k], kept[1][k]) for k in hess)
+        assert np.array_equal(g1, kept[2]) and np.array_equal(h1, kept[3])
+
+
+def test_jet_allocation_bound(spy_params):
+    """psi_jet on J nodes allocates one (17, J) complex block, the result,
+    and a (3, J) float scratch: 18.5 complex J-rows, traced. The bound is 19
+    rows, half a row for small objects (the complex-log jet it replaced
+    peaked at 33 rows). Given the block and the scratch it allocates no
+    row."""
+    xi = np.linspace(0.0, 800.0, 1 << 17)
+    row = 16 * xi.size
+    tracemalloc.start()
+    try:
+        psi_jet(spy_params, xi)
+        fresh = tracemalloc.get_traced_memory()[1]
+        out, work = np.empty((17, xi.size), dtype=complex), np.empty((3, xi.size))
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        psi_jet(spy_params, xi, out, work)
+        given = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert fresh <= 19 * row
+    assert given <= 16384
 
 
 class TestDerivatives:
@@ -361,18 +605,19 @@ class TestDerivatives:
 
     @staticmethod
     def _fused_gap(alpha, beta, lam, w):
-        """Largest gap between _side_derivs and the unfused oracle over the
-        rows, each relative to that row's largest entry."""
+        """Largest gap between the two complex oracles, _side_derivs and
+        _side_derivs_unfused, over the rows, each relative to that row's
+        largest entry."""
         got = _side_derivs(alpha, beta, lam, w)
         want = _side_derivs_unfused(alpha, beta, lam, w)
         return max(np.max(np.abs(got[k] - r)) / np.max(np.abs(r)) for k, r in want.items())
 
     @pytest.mark.parametrize("law", ["spy_params", "sp500_params", "btc_params"])
     def test_fused_powers_match_unfused(self, request, law):
-        """w^beta = exp(beta log w), then w^(beta-1) and w^(beta-2) by
-        division, agree with the separate complex powers to within 1e-15 of
-        each row's largest entry, on both tails and over every grid's
-        frequency range."""
+        """The complex-log oracle's w^beta = exp(beta log w), then w^(beta-1)
+        and w^(beta-2) by division, agrees with the separate complex powers
+        to within 1e-15 of each row's largest entry, on both tails and over
+        every grid's frequency range."""
         p = request.getfixturevalue(law)
         xi = np.concatenate(([0.0], np.geomspace(1e-3, 1e4, 4000)))
         for alpha, beta, lam, w in (
