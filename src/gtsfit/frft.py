@@ -116,13 +116,12 @@ _FIELD_KINDS = ("density", "cdf")
 # the field path's real FFT has _PAD * n points (module docstring)
 _PAD = 4
 
-# irfft output points per block of rows (2 MB), to bound the temporary
-# buffers: an 8-row read holds all its rows in one block up to n = 8192, and
-# beyond that at most 2 MB of irfft output (one row if larger), never more
-# than the level-1 batch on the largest grid. At 4 MB, the 8-row reads of a
-# fit on n = 16384 hold one (8, J) spectra block, and that block raised the
-# peak resident set of a near-beta = 0 fit from 60.1 to 63.6 MB
-_BLOCK_POINTS = 1 << 18
+# irfft output points per block of gradient rows (256 KB): two rows at
+# n = 4096, one from n = 8192 on. The block is part of a fit's workspace
+# (_Workspace) and stays resident for the whole fit; 2 MB blocks (all 7 rows
+# at n = 4096) put the spy fit's peak resident set 0.3 MB above that of
+# the per-batch buffers the workspace replaced
+_BLOCK_POINTS = 1 << 15
 
 # the kernel read: the exponential-of-semicircle kernel (module docstring)
 # over _KERNEL_W nodes, with shape _KERNEL_BETA, and the Gauss-Legendre
@@ -345,6 +344,7 @@ class _Workspace:
         a 64-byte boundary of the buffer."""
         starts = np.cumsum([0] + [-(-s // 8) * 8 for s in sizes])
         if self._flat.size < starts[-1]:
+            # release the old buffer before the new one is allocated
             self._flat = np.empty(0)
             self._flat = np.empty(starts[-1])
         return [self._flat[a : a + s] for a, s in zip(starts, sizes)]
@@ -364,10 +364,10 @@ def _field_batch(
     / dx (_spectrum, module docstring). d/dV e^Psi = (dPsi/dV) e^Psi, so a
     gradient row is S times a psi_jet row.
 
-    read, if given, maps each block of inverted rows on the grid, shape
-    (rows, n), to what is kept of it (the rows read at the data points,
-    say), and the kept blocks are stacked; the batch then never holds its
-    grid rows all at once.
+    Rows are inverted a few at a time (_BLOCK_POINTS). read, if given, maps
+    each block of inverted rows on the grid, shape (rows, n), to what is
+    kept of it (the rows read at the data points, say), and the kept blocks
+    are stacked; the batch then never holds its grid rows all at once.
 
     deconvolve, if given, is a real row over the spectrum nodes (the kernel
     read's 1 / K-hat(xi_j dx)) that multiplies S before any row is built; S
@@ -383,14 +383,15 @@ def _field_batch(
     read point, else LikelihoodError. scatter at level 1 or 8, or level 36
     without it, is a DomainError.
 
-    The batch's large arrays come from work (a fresh _Workspace if None):
-    the spectrum S and the (17, J) psi_jet block in one (18, J) complex
-    block, (level-1: S alone), an irfft output of a few rows, and one
-    scratch area that the spectrum's float rows, the jet's and the rfft
-    output take in turn. The gradient rows are formed in place, S times the
-    jet rows, once the curvature sums have read the jet; the density row is
-    inverted first, since the sums need 1 / f. The returned arrays never
-    share memory with work.
+    The batch's large arrays come from work (a fresh _Workspace if None),
+    so the batches of a fit reuse the same pages: the spectrum S and the
+    (17, J) psi_jet block in one (18, J) complex block (S alone at level 1),
+    the irfft output block, and one scratch area that the spectrum's six
+    float rows, the jet's three and the rfft output take in turn. The
+    density row is inverted first, since the curvature sums need 1 / f;
+    the gradient rows are then formed in place, S times the jet rows, once
+    the sums have read the jet. The returned arrays never share memory
+    with work.
     """
     if level not in (1, 8, 36):
         raise DomainError(f"field batch level must be 1, 8 or 36, got {level}")
@@ -399,7 +400,6 @@ def _field_batch(
     _check_tail(p, grid)
     h, size = _half_size(grid)
     n_out = _PAD * grid.n
-    # irfft rows per block: the 2 MB _BLOCK_POINTS bound, at least one row
     step = min(level, 7, max(1, _BLOCK_POINTS // n_out))
     height = 1 if level == 1 else 18
     xi, block, out, scratch = (work or _Workspace()).carve(

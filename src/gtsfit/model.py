@@ -29,9 +29,13 @@ the grids' tail checks, from the same real parts by scalar math.
 The gradient and Hessian of Psi in the parameters are implemented
 analytically, including the series values of the beta-derivatives at the
 limit point. One routine, psi_jet, evaluates both from a single pass over
-each tail; it returns the 7 gradient rows and only the 10 Hessian entries
-that are not identically zero. grad_psi and hess_psi are dense views built
-on it.
+each tail (_tail_jet) into one (17, n) complex block: the 7 gradient rows
+and only the 10 Hessian entries that are not identically zero. It too is
+built in real arithmetic, from log w = log lambda + log1p(q^2) / 2 +
+i atan(q), lambda / w = (1 - i q) / (1 + q^2) and (w / lambda)^beta =
+(1 + q^2)^(beta/2) cis(beta atan(q)): one real exp and one sin/cos pair per
+tail and node, with no complex log, power or division. grad_psi and
+hess_psi are dense views built on it.
 """
 
 from __future__ import annotations
