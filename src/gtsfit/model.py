@@ -481,9 +481,8 @@ def psi_jet(p: GtsParams, xi, out=None, work=None):
         (p.alpha_minus, p.beta_minus, p.lambda_minus, 1.0),
     )
     for side, (alpha, beta, lam, sign) in enumerate(tails):
-        b, a, l = 1 + side, 3 + side, 5 + side
-        hess_rows = out[7 + 5 * side : 12 + 5 * side]
-        _tail_jet(alpha, beta, lam, sign, arr, (out[b], out[a], out[l], *hess_rows), work)
+        rows = (out[1 + side], out[3 + side], out[5 + side], *out[7 + 5 * side : 12 + 5 * side])
+        _tail_jet(alpha, beta, lam, sign, arr, rows, work)
     return out[:7], dict(zip(_JET_PAIRS, out[7:]))
 
 

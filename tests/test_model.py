@@ -448,7 +448,7 @@ def _jet_tail(p, xi, side):
     return {k: grad[i] if isinstance(i, int) else hess[i] for k, i in _TAIL_ROWS[side].items()}
 
 
-def _tails(p, xi):
+def _tails(p):
     """(side, alpha, beta, lambda, sign) for the plus and minus tails."""
     return (
         (0, p.alpha_plus, p.beta_plus, p.lambda_plus, -1.0),
@@ -470,7 +470,7 @@ class TestJetAgainstOracles:
     reachable: near beta = 0 the beta-beta and beta-lambda rows cancel
     terms of size digamma(-beta)^2 + trigamma(-beta) (268 at the sp500
     law's minus tail, beta = -0.089), and the complex-log oracle's own error
-    against a 40-digit evaluation is 4.6e-15 of the row there (8.5e-16 on
+    against a 40-digit evaluation is 3.4e-15 of the row there (8.5e-16 on
     spy). So off the window each row of psi_jet is held, against the
     40-digit jet _side_derivs_mp, within twice the complex-log oracle's own
     error or twice 1e-15 of the row, whichever is larger: psi_jet is as
@@ -481,7 +481,7 @@ class TestJetAgainstOracles:
     XI = np.concatenate(([0.0], np.geomspace(1e-3, 1e4, 200)))
 
     def _assert_as_accurate(self, p, sides=(0, 1), keys=None):
-        for side, alpha, beta, lam, sign in _tails(p, self.XI):
+        for side, alpha, beta, lam, sign in _tails(p):
             if side not in sides:
                 continue
             exact = _side_derivs_mp(alpha, beta, lam, sign, self.XI)
@@ -508,7 +508,7 @@ class TestJetAgainstOracles:
     def test_limit_window_matches_complex_log(self, beta, lam):
         xi = np.concatenate(([0.0], np.geomspace(1e-3, 1e4, 4000)))
         p = GtsParams(0.1, beta, beta, 0.6, 0.8, lam, lam)
-        for side, alpha, b, lm, sign in _tails(p, xi):
+        for side, alpha, b, lm, sign in _tails(p):
             want = _side_derivs(alpha, b, lm, lm + sign * 1j * xi)
             errors = _row_errors(_jet_tail(p, xi, side), want)
             assert max(errors.values()) <= 1e-15, errors
