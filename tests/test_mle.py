@@ -259,6 +259,17 @@ class TestFit:
         fit(spy_sample_600, FitOptions(init=spy_params, tol_grad=1e-6))
         assert len(works) > 2 and all(w is works[0] for w in works)
 
+    def test_candidate_regrid_keeps_the_workspace(self, spy_params, spy_sample_600):
+        """A candidate whose tails the pinned grid cannot hold (beta+- = 0.3
+        needs xi_max 1024 where the spy law's grid has 256) is read on its
+        own grid, through the pinned context's workspace."""
+        ctx = mle._grid_context(spy_params, spy_sample_600)
+        v = spy_params.to_vector()
+        v[1:3] = 0.3
+        _, _, used = mle._try_candidate(v, spy_sample_600, ctx)
+        assert used.grid.xi_max > ctx.grid.xi_max
+        assert used.work is ctx.work
+
     def test_unreadable_iterate_raises_with_trace(
         self, monkeypatch, spy_params, spy_sample_600
     ):
