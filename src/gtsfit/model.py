@@ -33,9 +33,12 @@ each tail (_tail_jet) into one (17, n) complex block: the 7 gradient rows
 and only the 10 Hessian entries that are not identically zero. It too is
 built in real arithmetic, from log w = log lambda + log1p(q^2) / 2 +
 i atan(q), lambda / w = (1 - i q) / (1 + q^2) and (w / lambda)^beta =
-(1 + q^2)^(beta/2) cis(beta atan(q)): one real exp and one sin/cos pair per
-tail and node, with no complex log, power or division. grad_psi and
-hess_psi are dense views built on it.
+(1 + q^2)^(beta/2) cis(beta atan(q)): one real power and one sin/cos pair
+per tail and node, with no complex log, power or division. It factors each
+tail term into parts regular at beta = 0 and sums them as series near it,
+so the rows keep their accuracy as beta -> 0, where Gamma(-beta) ~ -1/beta
+would otherwise multiply terms that cancel. grad_psi and hess_psi are dense
+views built on it.
 """
 
 from __future__ import annotations
@@ -62,8 +65,21 @@ PARAM_NAMES = (
 # width of the beta -> 0 switching window
 BETA_LIMIT = 1e-7
 
-# second-order Taylor coefficient of Gamma(z) about z = 0: gamma^2/2 + pi^2/12
-_C2 = 0.5 * np.euler_gamma**2 + math.pi**2 / 12.0
+# largest |beta P| on a jet's nodes up to which _tail_jet sums B0, B1, B2 as
+# series; beyond it their closed forms lose at most a few ulps of each row
+_SERIES_REACH = 2.0
+
+# 1 / k!, the Taylor coefficients of exp
+_INV_FACTORIAL = tuple(1.0 / math.factorial(k) for k in range(40))
+
+
+def _series_terms(reach: float) -> int:
+    """Degree n at which phi3(y) = sum_k y^k / (k + 3)! is cut for |y| <=
+    reach: the first dropped term is below 2^-56."""
+    n = 0
+    while reach ** (n + 1) * _INV_FACTORIAL[n + 4] > 2.0**-56:
+        n += 1
+    return n
 
 
 class MomentStats(NamedTuple):
@@ -342,106 +358,117 @@ def _tail_jet(alpha, beta, lam, sign, xi, rows, work):
 
         P = log(w / lambda) = log1p(q^2) / 2 + i atan(q),
         u = lambda / w = (1 - i q) / (1 + q^2),
-        z = (w / lambda)^beta = exp(beta log1p(q^2) / 2) cis(beta atan(q)).
+        z = (w / lambda)^beta = (1 + q^2)^(beta/2) cis(beta atan(q)).
 
-    Off the beta -> 0 window, with K = Gamma(-beta) lambda^beta,
-    m0 = log lambda - digamma(-beta), M = P + m0, p1 = trigamma(-beta) and
-    c = 1 + beta m0, the partials of alpha Gamma(-beta) (w^beta - lambda^beta)
-    are
+    The tail term is alpha Gamma(-beta) (w^beta - lambda^beta) = -alpha A B
+    with A = Gamma(1 - beta) lambda^beta and B = (z - 1) / beta, both
+    regular at beta = 0. With m = log lambda - digamma(1 - beta) = A'/A,
+    s = trigamma(1 - beta), and B0, B1, B2 = B and its first two
+    beta-derivatives, the partials are
 
-        a  = K (z - 1)                  ab = K (z M - m0)
-        bb = alpha K (z (M^2 + p1) - (m0^2 + p1))
-        al = K beta / lambda (z u - 1)
-        bl = alpha K / lambda (z u (beta P + c) - c)
-        ll = alpha K beta (beta - 1) / lambda^2 (z u^2 - 1)
+        a  = -A B0                      ab = -A (B1 + m B0)
+        bb = -alpha A (B2 + 2 m B1 + (m^2 + s) B0)
+        al = -A / lambda (z u - 1)      bl = -alpha A / lambda (m (z u - 1) + P z u)
+        ll = -alpha A (beta - 1) / lambda^2 (z u^2 - 1)
 
-    and b = alpha ab, l = alpha al. (bl keeps P and c apart: m0 ~ -1 / beta
-    is large near the window, and 1 + beta M would round away P's low
-    bits.) Inside the window the partials are the series values at
-    beta = 0: with c1 = gamma + log lambda and
-    c0 = 2 C2 + 2 gamma log lambda + log^2 lambda,
+    and b = alpha ab, l = alpha al. With x = beta P, B = P phi1(x) for
+    phi1(x) = (e^x - 1) / x = e^x phi1(-x), so
 
-        a  = -P                         ab = -P (c1 + P / 2)
-        bb = -alpha P (c0 + c1 P + P^2 / 3)
-        al = (1 - u) / lambda           bl = -alpha / lambda ((c1 + P) u - c1)
-        ll = alpha / lambda^2 (u^2 - 1)
+        B0 = z P phi1(-x),  B1 = z P^2 phi2(-x),  B2 = 2 z P^3 phi3(-x),
 
-    M, P, u and z are built in rows that are written last. A tail with
+    phi2(y) = (e^y - 1 - y) / y^2 and phi3(y) = (e^y - 1 - y - y^2 / 2) / y^3.
+    While |x| <= _SERIES_REACH on every node, phi3 is summed by Horner's
+    rule to the degree _series_terms gives, then phi2 = 1/2 + y phi3 and
+    phi1 = 1 + y phi2; for beta < 0, -x has a nonnegative real part and no
+    term cancels. Beyond that reach the closed forms B0 = (z - 1) / beta,
+    B1 = (P z - B0) / beta and B2 = (P^2 z - 2 B1) / beta are taken; each
+    division by beta cancels about a factor 1 / |x| at the nodes where x is
+    largest, which is why small |beta| takes the series. A side inside the
+    beta -> 0 window is taken at beta = 0 with the exact limits A = 1,
+    m = gamma + log lambda and s = pi^2 / 6: x = 0, z = 1 and the rows are
+    the series values at the limit point, as Psi itself switches there.
+
+    P, u and z are built in rows that are written last. A tail with
     alpha = 0 gets zero rows except a, ab and al."""
     b, a, l, bb, ab, bl, al, ll = rows
     q, t, e = work
+    ln_lam = math.log(lam)
+    if abs(beta) < BETA_LIMIT:
+        beta, big_a, m, s = 0.0, 1.0, np.euler_gamma + ln_lam, math.pi**2 / 6.0
+    else:
+        big_a = gamma_real(1.0 - beta) * lam**beta
+        m = ln_lam - digamma(1.0 - beta)
+        s = trigamma(1.0 - beta)
     np.divide(xi, sign * lam, out=q)
     np.multiply(q, q, out=t)
     np.log1p(t, out=e)
+    # largest |x| = |beta P| over the nodes, at the largest |q|
+    t_max = float(t.max()) if t.size else 0.0
+    x_max = abs(beta) * math.hypot(0.5 * math.log1p(t_max), math.atan(math.sqrt(t_max)))
     # u = 1 / (1 + i q) in l, from t = -(1 + q^2)
     np.subtract(-1.0, t, out=t)
     np.divide(-1.0, t, out=l.real)
     np.divide(q, t, out=l.imag)
-    ln_lam = math.log(lam)
-    if abs(beta) < BETA_LIMIT:
-        c1 = np.euler_gamma + ln_lam
-        c0 = 2.0 * _C2 + (2.0 * np.euler_gamma + ln_lam) * ln_lam
-        # P in a
-        np.multiply(e, 0.5, out=a.real)
-        np.arctan(q, out=a.imag)
-        np.multiply(a, -0.5, out=ab)
-        ab -= c1
-        ab *= a
-        np.multiply(a, -alpha / 3.0, out=bb)
-        bb -= alpha * c1
-        bb *= a
-        bb -= alpha * c0
-        bb *= a
-        np.add(a, c1, out=bl)
-        bl *= l
-        bl -= c1
-        bl *= -alpha / lam
-        np.multiply(l, l, out=ll)
-        ll -= 1.0
-        ll *= alpha / lam**2
-        np.subtract(1.0, l, out=al)
-        al *= 1.0 / lam
-        np.negative(a, out=a)
+    # P in b, z in al
+    np.multiply(e, 0.5, out=b.real)
+    np.arctan(q, out=b.imag)
+    np.negative(t, out=e)
+    np.power(e, 0.5 * beta, out=e)
+    np.multiply(b.imag, beta, out=q)
+    np.cos(q, out=al.real)
+    np.sin(q, out=al.imag)
+    al.real *= e
+    al.imag *= e
+    # B0 in a, B1 in ab, B2 / 2 in bb, from P z in ll
+    if x_max <= _SERIES_REACH:
+        # y = -x in ll, then phi3(y) in bb, phi2(y) in ab, phi1(y) in a
+        n = _series_terms(x_max)
+        np.multiply(b, -beta, out=ll)
+        bb.fill(_INV_FACTORIAL[n + 3])
+        for k in range(n + 2, 2, -1):
+            bb *= ll
+            bb.real += _INV_FACTORIAL[k]
+        np.multiply(ll, bb, out=ab)
+        ab.real += 0.5
+        np.multiply(ll, ab, out=a)
+        a.real += 1.0
+        np.multiply(b, al, out=ll)
+        a *= ll
+        ab *= ll
+        ab *= b
+        bb *= ll
+        bb *= b
+        bb *= b
     else:
-        g = gamma_real(-beta)
-        p0 = digamma(-beta)
-        p1 = trigamma(-beta)
-        k = g * lam**beta
-        m0 = ln_lam - p0
-        c = 1.0 + beta * m0
-        # P in b, z in a, z u in al
-        np.multiply(e, 0.5, out=b.real)
-        np.arctan(q, out=b.imag)
-        e *= 0.5 * beta
-        np.exp(e, out=e)
-        np.multiply(b.imag, beta, out=q)
-        np.cos(q, out=a.real)
-        np.sin(q, out=a.imag)
-        a.real *= e
-        a.imag *= e
-        np.multiply(a, l, out=al)
-        np.multiply(b, beta, out=bl)
-        bl += c
-        bl *= al
-        bl -= c
-        bl *= alpha * k / lam
-        np.multiply(al, l, out=ll)
-        ll -= 1.0
-        ll *= alpha * k * beta * (beta - 1.0) / lam**2
-        al -= 1.0
-        al *= k * beta / lam
-        # M = P + m0 in b
-        b.real += m0
-        np.multiply(a, b, out=ab)
-        ab -= m0
-        ab *= k
-        np.multiply(b, b, out=bb)
-        bb += p1
-        bb *= a
-        bb -= m0 * m0 + p1
-        bb *= alpha * k
-        a -= 1.0
-        a *= k
+        np.subtract(al, 1.0, out=a)
+        a *= 1.0 / beta
+        np.multiply(b, al, out=ll)
+        np.subtract(ll, a, out=ab)
+        ab *= 1.0 / beta
+        np.multiply(ll, b, out=bb)
+        bb -= ab
+        bb -= ab
+        bb *= 0.5 / beta
+    np.multiply(ab, m, out=ll)
+    bb += ll
+    np.multiply(a, 0.5 * (m * m + s), out=ll)
+    bb += ll
+    bb *= -2.0 * alpha * big_a
+    np.multiply(a, m, out=ll)
+    ab += ll
+    ab *= -big_a
+    a *= -big_a
+    # z u in al; P + m in b
+    al *= l
+    b.real += m
+    np.multiply(b, al, out=bl)
+    bl.real -= m
+    bl *= -alpha * big_a / lam
+    np.multiply(al, l, out=ll)
+    ll -= 1.0
+    ll *= -alpha * big_a * (beta - 1.0) / lam**2
+    al -= 1.0
+    al *= -big_a / lam
     np.multiply(ab, alpha, out=b)
     np.multiply(al, alpha, out=l)
 
