@@ -7,6 +7,7 @@ over the same truncated frequency range the grids use.
 
 import itertools
 import math
+import mmap
 import tracemalloc
 from dataclasses import replace
 
@@ -336,6 +337,20 @@ class TestWorkspace:
         read = _kernel_read(g, np.linspace(-3.0, 3.0, 500))
         vals = _field_batch(spy_params, g, level, read=read, work=work)
         assert not np.shares_memory(vals, work._flat)
+
+    def test_buffer_is_a_map_of_its_own(self, spy_params):
+        """The buffer lives outside the malloc heap, so what a fit leaves
+        resident does not depend on the heap's layout; growing it maps a
+        new, larger buffer."""
+        g = auto_grid(spy_params, -30.0, 30.0)
+        work = _Workspace()
+        _field_batch(spy_params, g, 8, work=work)
+        small = work._flat.base.obj
+        assert isinstance(small, mmap.mmap)
+        _field_batch(spy_params, replace(g, n=2 * g.n, dx=g.dx / 2), 8, work=work)
+        big = work._flat.base.obj
+        assert isinstance(big, mmap.mmap) and big is not small
+        assert len(big) > len(small)
 
 
 def test_heavy_left_tail_does_not_alias(cf_oracle):
