@@ -9,6 +9,14 @@ by Durbin's matrix-power recursion in the Marsaglia-Tsang-Wang arrangement,
 with power-of-two rescaling so the powers never overflow. The tests hold it
 within 1e-10 of scipy's kstwo.
 
+The p-value P(D_m > d) takes the one-sided tail where Massart's bound
+2 exp(-2 m d^2) is at most 1e-3 (m d^2 >= log(2000) / 2): there it is
+2 P(D+_m > d), an exact O(m) sum (Birnbaum & Tingey 1951), which exceeds
+the two-sided survival by about 1.1e-13 at the switch at m = 3048, where
+the double Durbin power errs by 1.4e-12, and keeps 1e-14 relative accuracy
+as the survival decays. The null summary reads its far-tail nodes the
+same way.
+
 Binned tables printed to fixed precision may omit extreme rows, so a
 table's cumulative counts need not reach m; the step values at the listed
 edges stay authoritative and the sup runs over those edges.
@@ -142,6 +150,15 @@ def _rescale(mat: np.ndarray, expo: int):
     return mat, expo
 
 
+def _check_ks_args(d: float, m: int) -> None:
+    if m < 1 or m != int(m):
+        raise DomainError(f"sample size must be a positive integer, got {m}")
+    if m > KS_MAX_M:
+        raise DomainError(f"sample size {m} exceeds the overflow guard {KS_MAX_M}")
+    if not math.isfinite(d):
+        raise DomainError(f"KS statistic must be finite, got {d}")
+
+
 def ks_exact_cdf(d: float, m: int) -> float:
     """P(D_m <= d) for the one-sample two-sided statistic, exactly.
 
@@ -153,12 +170,7 @@ def ks_exact_cdf(d: float, m: int) -> float:
     only the squarings are matrix products. Where Massart's bound puts the
     survival below 2^-54 the result is 1.0 without the matrix.
     """
-    if m < 1 or m != int(m):
-        raise DomainError(f"sample size must be a positive integer, got {m}")
-    if m > KS_MAX_M:
-        raise DomainError(f"sample size {m} exceeds the overflow guard {KS_MAX_M}")
-    if not math.isfinite(d):
-        raise DomainError(f"KS statistic must be finite, got {d}")
+    _check_ks_args(d, m)
     if d * m <= 0.5:
         return 0.0
     # Massart's bound P(D_m > d) <= 2 exp(-2 m d^2) below 2^-54, half an ulp
@@ -198,9 +210,72 @@ def ks_exact_cdf(d: float, m: int) -> float:
     return min(1.0, math.exp(lv))
 
 
+def _log_fact_err(n: np.ndarray) -> np.ndarray:
+    """log n! less Stirling's n log n - n + log(2 pi n) / 2, for integers
+    n >= 1 held as floats: its asymptotic series to n^-7 from n = 16, where
+    the first term left out is below 1.2e-14, and log-gamma below 16."""
+    inv2 = 1.0 / (n * n)
+    out = (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 * (1.0 / 1260.0 - inv2 / 1680.0))) / n
+    small = np.flatnonzero(n < 16.0)
+    half_log_2pi = 0.5 * math.log(2.0 * math.pi)
+    for i in small:
+        k = float(n[i])
+        out[i] = math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - half_log_2pi
+    return out
+
+
+def _smirnov_plus(d: float, m: int) -> float:
+    """P(D+_m > d) for 0 < d < 1, the one-sided survival, by the
+    Birnbaum-Tingey sum (Ann. Math. Stat. 22, 1951)
+
+        d sum_{0 <= j < m (1 - d)} C(m, j) (1 - d - j/m)^(m-j) (d + j/m)^(j-1).
+
+    Term j > 0 is d / (d + j/m) times the binomial probability of j
+    successes in m at success probability d + j/m. That probability is
+    formed in logs as Loader's (2000) saddle-point form: Stirling's formula
+    with its error terms (_log_fact_err) and a deviance written with log1p,
+    whose two parts of size m d cancel to about 2 m d^2. No m log m sized
+    logarithms are differenced, and the terms are all positive, so the sum
+    is within 1e-14 relative of a 40-digit one."""
+    md = m * d
+    err = _log_fact_err(np.arange(1.0, m + 1.0))  # n = 1..m at err[n - 1]
+    j = np.arange(1, math.ceil(m - md))
+    r = m - j
+    log_terms = (
+        j * np.log1p(md / j)
+        + r * np.log1p(-md / r)
+        + 0.5 * np.log(m / (2.0 * math.pi * j * r))
+        + err[m - 1]
+        - err[j - 1]
+        - err[r - 1]
+        + np.log(md / (md + j))
+    )
+    return math.exp(m * math.log1p(-d)) + float(np.exp(log_terms).sum())
+
+
+# Where Massart's bound 2 exp(-2 m d^2) is at most this, the two-sided
+# survival is read as 2 P(D+_m > d). It exceeds P(D_m > d) by
+# P(D+_m > d, D-_m > d), about 2 (P/2)^4 (Smirnov's limit law): 1.1e-13
+# at the switch at m = 3048, where the double Durbin power errs by 1.4e-12.
+# Simard & L'Ecuyer (J. Stat. Softw. 39(11), 2011) switch on the same tail.
+_ONE_SIDED_LEVEL = 1e-3
+
+
 def ks_pvalue(d: float, m: int) -> float:
-    """P(D_m > d) under the null."""
-    return max(0.0, 1.0 - ks_exact_cdf(d, m))
+    """P(D_m > d) under the null.
+
+    Where Massart's bound is at most 1e-3 (m d^2 >= log(2000) / 2) it is
+    2 P(D+_m > d) (_smirnov_plus), within 2e-13 of a long-double Durbin
+    power at the switch and accurate to 1e-14 relative as it decays, and 0
+    where the bound is below 2^-54, as in ks_exact_cdf. Elsewhere it is
+    1 - ks_exact_cdf(d, m), good to about 1e-12 absolute."""
+    _check_ks_args(d, m)
+    bound = 2.0 * math.exp(-2.0 * m * d * d)
+    if d * m <= 0.5 or bound > _ONE_SIDED_LEVEL:
+        return 1.0 - ks_exact_cdf(d, m)
+    if d >= 1.0 or bound < 2.0**-54:
+        return 0.0
+    return 2.0 * _smirnov_plus(d, m)
 
 
 def attach_pvalue(report: KsReport) -> KsReport:
@@ -276,37 +351,66 @@ def ks_null_summary(m: int, alpha: float = 0.05) -> NullSummary:
     [0, 0.5/m], so that piece is closed form. The rest is composite
     Gauss-Legendre up to the cut c where Massart's bound
     P(D_m > d) <= 2 exp(-2 m d^2) (Ann. Probab. 1990) integrates to at
-    most 1e-13 beyond c: exp(-2 m c^2) / (2 m c) = 1e-13. At m = 3048,
-    c = 0.0627, which keeps the Durbin matrix order 2 ceil(m d) - 1 at
-    most 383. The panels end where the bound equals 1, 1e-3 and 1e-6, with
-    24, 12, 6 and 4 nodes, so few nodes fall where the order is high. At
+    most 1e-13 beyond c: exp(-2 m c^2) / (2 m c) = 1e-13. The panels end
+    where the bound equals 1, 1e-3 and 1e-6, with 24, 12, 6 and 4 nodes,
+    so few nodes fall where the Durbin order 2 ceil(m d) - 1 is high. At
     small m the panels follow the knots of the CDF instead (_quadrature).
 
-    The critical value solves P(D_m > d) = alpha by bisection to 1e-7. Its
-    bracket starts at the d where Massart's bound equals alpha, which lies
-    above the critical value.
+    Every node is read through ks_pvalue, so the 10 nodes past the 1e-3
+    level take the one-sided tail, 2 P(D+_m > d), within 2e-13 of the
+    exact survival there and without a matrix. At m = 3048 the Durbin
+    reads stop at d = 0.0351, order 213 at most.
+
+    The critical value solves P(D_m > d) = alpha by _critical_d.
     """
     if m < 2:
         raise DomainError("null summary needs m >= 2")
     if not (0.0 < alpha < 1.0):
         raise DomainError("alpha must lie in (0, 1)")
     xs, ws = _quadrature(m)
-    sv = np.array([1.0 - ks_exact_cdf(float(x), m) for x in xs])
+    sv = np.array([ks_pvalue(float(x), m) for x in xs])
     head = 0.5 / m
     mean = head + float(ws @ sv)
     ed2 = head * head + float(ws @ (2.0 * xs * sv))
     sd = math.sqrt(max(ed2 - mean * mean, 0.0))
-    target = 1.0 - alpha
+    return NullSummary(mean=mean, sd=sd, critical_d=_critical_d(m, alpha))
+
+
+# width of the bracket at which _critical_d stops
+_ROOT_TOL = 1e-12
+
+
+def _critical_d(m: int, alpha: float) -> float:
+    """The d where P(D_m > d) = alpha, by regula falsi in its Illinois form
+    (Dowell & Jarratt, BIT 11, 1971) on [0.5/m, Massart(alpha)]. The
+    survival is 1 at the left end, and Massart's bound puts it at most
+    alpha at the right end, so only that end is read. An end kept twice in
+    a row has its function value halved, so both ends close in on the
+    root; a secant point that rounds onto an end is replaced by the
+    midpoint. It stops when the bracket is _ROOT_TOL wide: 9 reads at
+    m = 3048, where bisection to 1e-7 took 19, and no more than bisection
+    to _ROOT_TOL takes (about 40) at any alpha and m tried in the tests."""
     lo, hi = 0.5 / m, min(1.0, _massart_d(m, alpha))
-    while hi < 1.0 and ks_exact_cdf(hi, m) < target:
-        hi = min(1.0, 2.0 * hi)
-    while hi - lo > 1e-7:
-        mid = 0.5 * (lo + hi)
-        if ks_exact_cdf(mid, m) < target:
-            lo = mid
+    f_lo, f_hi = 1.0 - alpha, ks_pvalue(hi, m) - alpha
+    kept = 0
+    while hi - lo > _ROOT_TOL:
+        d = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < d < hi:
+            d = 0.5 * (lo + hi)
+        f = ks_pvalue(d, m) - alpha
+        if f == 0.0:
+            return d
+        if f > 0.0:
+            lo, f_lo = d, f
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
         else:
-            hi = mid
-    return NullSummary(mean=mean, sd=sd, critical_d=0.5 * (lo + hi))
+            hi, f_hi = d, f
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
 """Empirical CDFs, the exact KS distribution, and binned table loading.
 
 scipy.stats.kstwo is an independent implementation of the finite-sample KS
-law and is used as the oracle for the matrix-power recursion here.
+law and is used as the oracle for the matrix-power recursion here. The
+one-sided tail is held against a long-double Durbin power and a 40-digit
+mpmath Birnbaum-Tingey sum.
 """
 
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -158,6 +161,61 @@ def durbin_full_matrix(d, m):
     return min(1.0, math.exp(lv))
 
 
+def durbin_long_double(d, m):
+    """P(D_m > d) by Durbin's recursion in long double (64-bit significand
+    on x86-64), m!/m^m summed in logs in the same precision; row k-1 of the
+    power is carried, as in ks_exact_cdf. Test-only oracle for the
+    one-sided tail: the double power errs by about 1e-12 where this one
+    errs by about 1e-15."""
+    ld = np.longdouble
+    d = ld(d)
+    k = int(np.ceil(d * m))
+    h = k - d * m
+    size = 2 * k - 1
+    inv_fact = np.ones(size + 2, dtype=ld)
+    for i in range(1, size + 2):
+        inv_fact[i] = inv_fact[i - 1] / i
+    i = np.arange(size)
+    p = i[:, None] - i[None, :] + 1
+    tri = np.where(p >= 0, inv_fact[np.maximum(p, 0)], ld(0))
+    for i in range(size):
+        tri[i, 0] -= h ** (i + 1) * inv_fact[i + 1]
+        tri[size - 1, i] -= h ** (size - i) * inv_fact[size - i]
+    tri[size - 1, 0] += max(2 * h - 1, ld(0)) ** size * inv_fact[size]
+    row, er = None, 0
+    base, eb = tri, 0
+    n = m
+    while n:
+        if n & 1:
+            if row is None:
+                row, er = base[k - 1].copy(), eb
+            else:
+                row, er = gof._rescale(row @ base, er + eb)
+        n >>= 1
+        if n:
+            base, eb = gof._rescale(base @ base, 2 * eb)
+    log_scale = np.sum(np.log(np.arange(1, m + 1, dtype=ld) / m))
+    return 1 - np.exp(np.log(row[k - 1]) + er * np.log(ld(2)) + log_scale)
+
+
+def smirnov_plus_mp(d, m):
+    """P(D+_m > d) by the Birnbaum-Tingey sum in 40-digit mpmath."""
+    with mpmath.workdps(40):
+        d = mpmath.mpf(d)
+        total = mpmath.mpf(0)
+        for j in range(m + 1):
+            a = 1 - d - mpmath.mpf(j) / m
+            if a <= 0:
+                break
+            total += mpmath.binomial(m, j) * a ** (m - j) * (d + mpmath.mpf(j) / m) ** (j - 1)
+        return d * total
+
+
+def _switch_d(m):
+    """The d where Massart's bound 2 exp(-2 m d^2) is 1e-3."""
+    return math.sqrt(math.log(2000.0) / (2.0 * m))
+
+
 def _oracle_grid():
     """(d, m) pairs with d m just above an integer, with h = k - d m just
     either side of 1/2, and at generic points."""
@@ -251,6 +309,68 @@ class TestExactKsDistribution:
         )
 
 
+class TestOneSidedTail:
+    @pytest.mark.parametrize("m", [10, 40, 200, 500, 3048])
+    def test_switch_point_against_long_double_durbin(self, m):
+        """At the switch 2 S+ exceeds the two-sided survival by
+        P(D+ > d, D- > d) only: 1.1e-13 at m = 3048, 0 for m = 10 where
+        d > 1/2. The double Durbin power there errs by 1.4e-12."""
+        d = _switch_d(m)
+        want = durbin_long_double(d, m)
+        assert abs(2.0 * gof._smirnov_plus(d, m) - float(want)) <= 2e-13
+
+    @pytest.mark.parametrize("m", [20, 500, 3048])
+    @pytest.mark.parametrize("level", [1e-3, 1e-6, 1e-12])
+    def test_one_sided_sum_against_mpmath(self, m, level):
+        d = math.sqrt(math.log(2.0 / level) / (2.0 * m))
+        want = smirnov_plus_mp(d, m)
+        got = gof._smirnov_plus(d, m)
+        assert abs(float((mpmath.mpf(got) - want) / want)) <= 1e-13
+
+    @pytest.mark.parametrize("level", [1e-6, 1e-12])
+    def test_paper_size_pvalue_keeps_relative_accuracy(self, level):
+        """At m = 3048 a p-value near 1e-12 is within 1e-12 relative of
+        2 S+ in 40 digits; 1 - P(D <= d) in double would be noise there."""
+        m = 3048
+        d = math.sqrt(math.log(1.0 / level) / (2.0 * m))
+        want = 2 * smirnov_plus_mp(d, m)
+        got = ks_pvalue(d, m)
+        assert 0.1 * level < got < 10.0 * level
+        assert abs(float((mpmath.mpf(got) - want) / want)) <= 1e-12
+
+    @pytest.mark.parametrize("m", [40, 3048])
+    def test_pvalue_switches_at_the_massart_level(self, monkeypatch, m):
+        """Just below the switch the p-value reads the Durbin power, just
+        above it the one-sided sum, and the two agree within the double
+        power's error."""
+        reads = []
+        real = gof.ks_exact_cdf
+
+        def counted(d, m):
+            reads.append(d)
+            return real(d, m)
+
+        monkeypatch.setattr(gof, "ks_exact_cdf", counted)
+        d0 = _switch_d(m)
+        below = ks_pvalue(d0 * (1.0 - 1e-12), m)
+        assert len(reads) == 1
+        above = ks_pvalue(d0 * (1.0 + 1e-12), m)
+        assert len(reads) == 1
+        assert above == 2.0 * gof._smirnov_plus(d0 * (1.0 + 1e-12), m)
+        assert abs(above - below) <= 2e-12
+
+    def test_pvalue_edges_of_the_tail(self):
+        assert ks_pvalue(1.0, 10) == 0.0
+        assert ks_pvalue(1.5, 10) == 0.0
+        assert ks_pvalue(-1.0, 3048) == 1.0
+        with pytest.raises(DomainError, match="KS statistic must be finite, got inf"):
+            ks_pvalue(math.inf, 3048)
+        with pytest.raises(DomainError):
+            ks_pvalue(0.5, KS_MAX_M + 1)
+        # d > 1/2: the two-sided survival is exactly twice the one-sided one
+        assert ks_pvalue(0.7, 10) == pytest.approx(scipy.stats.kstwo.sf(0.7, 10), rel=1e-13)
+
+
 class TestNullSummary:
     @pytest.mark.parametrize("m", [2, 3, 5, 10, 30, 100, 500])
     def test_against_scipy_kstwo_moments(self, m):
@@ -263,12 +383,15 @@ class TestNullSummary:
 
     def test_paper_size_bit_identical_past_massart_shortcut(self):
         """The summary's tail cut sits where Massart's bound is 7.6e-11, far
-        above the exact CDF's 2^-54 shortcut, so every read takes the matrix
-        path: the values are those of the code before the shortcut."""
+        above the 2^-54 shortcut, so no read is the shortcut's 0: the 36
+        nodes below the 1e-3 level and the 9 regula falsi steps read the
+        Durbin power, the 10 nodes past it the one-sided sum. The values
+        are pinned bit for bit; against kstwo the gaps are 3.4e-12,
+        6.7e-11 and 7.4e-11."""
         assert ks_null_summary(3048) == (
-            0.015680946866959002,
-            0.004714949692430913,
-            0.024543998037510194,
+            0.015680946866979583,
+            0.0047149496926133265,
+            0.024543986815610763,
         )
 
     def test_paper_size_stays_below_massart_cut(self, monkeypatch):
@@ -292,8 +415,9 @@ class TestNullSummary:
 
     def test_paper_size_gauss_legendre(self, monkeypatch):
         """At m = 3048 the panelled Gauss-Legendre summary matches kstwo to
-        1e-9 in 70 exact-CDF reads or fewer, none beyond the tail-integral
-        cut, so the Durbin matrix order stays at 385 or less."""
+        1e-9 in 46 Durbin reads or fewer: the nodes past the 1e-3 Massart
+        level read the one-sided sum, so the Durbin matrix order stays at
+        213 or less, and the critical value's regula falsi takes 9 reads."""
         m = 3048
         seen = []
         real = gof.ks_exact_cdf
@@ -308,12 +432,29 @@ class TestNullSummary:
         mean, var = ref.stats(moments="mv")
         assert ns.mean == pytest.approx(mean, abs=1e-9)
         assert ns.sd == pytest.approx(math.sqrt(var), abs=1e-9)
-        assert ns.critical_d == pytest.approx(ref.isf(0.05), abs=1e-7)
-        assert len(seen) <= 70
+        assert ns.critical_d == pytest.approx(ref.isf(0.05), abs=1e-9)
+        assert len(seen) <= 46
         d_max = max(seen)
         # Massart's bound integrated beyond d_max is still above 1e-13
         assert math.exp(-2.0 * m * d_max**2) / (2.0 * m * d_max) > 1e-13
-        assert 2 * math.ceil(d_max * m) - 1 <= 385
+        assert 2 * math.ceil(d_max * m) - 1 <= 213
+
+    @pytest.mark.parametrize("m", [2, 10, 200, 3048])
+    @pytest.mark.parametrize("alpha", [0.5, 0.05, 1e-4, 1e-9])
+    def test_critical_value_brackets_alpha(self, monkeypatch, m, alpha):
+        """The regula falsi root lies within 1e-11 of the d where the
+        survival crosses alpha, in no more reads than bisection to 1e-12."""
+        reads = []
+        real = gof.ks_pvalue
+
+        def counted(d, m):
+            reads.append(d)
+            return real(d, m)
+
+        monkeypatch.setattr(gof, "ks_pvalue", counted)
+        c = gof._critical_d(m, alpha)
+        assert len(reads) <= 40
+        assert real(c - 1e-11, m) > alpha > real(c + 1e-11, m)
 
     def test_critical_value_hits_alpha(self):
         ns = ks_null_summary(200, alpha=0.1)

@@ -50,12 +50,12 @@ def test_gamma_reference(x, expected):
 
 @pytest.mark.parametrize("x,expected", DIGAMMA_POINTS)
 def test_digamma_reference(x, expected):
-    assert digamma(x) == pytest.approx(expected, rel=1e-12)
+    assert digamma(x) == pytest.approx(expected, rel=5e-15)
 
 
 @pytest.mark.parametrize("x,expected", TRIGAMMA_POINTS)
 def test_trigamma_reference(x, expected):
-    assert trigamma(x) == pytest.approx(expected, rel=5e-11)
+    assert trigamma(x) == pytest.approx(expected, rel=5e-15)
 
 
 @pytest.mark.parametrize("fn", [gamma_real, digamma, trigamma])
