@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -436,14 +437,23 @@ def _read_config(pre: argparse.ArgumentParser, path: str) -> dict:
     return cfg
 
 
-def main(argv=None) -> int:
-    args_in = list(sys.argv[1:] if argv is None else argv)
+@functools.cache
+def _parsers() -> tuple:
+    """The --config pre-parser and the parser without config defaults, once
+    per process: a parser is a web of reference cycles that only the rare
+    full collection frees, so one per call grew a repeat caller's heap."""
     pre = argparse.ArgumentParser(prog="gtsfit", add_help=False)
     pre.add_argument("--config")
+    return pre, _build_parser()
+
+
+def main(argv=None) -> int:
+    args_in = list(sys.argv[1:] if argv is None else argv)
+    pre, plain = _parsers()
     try:
         cfg_path = pre.parse_known_args(args_in)[0].config
         cfg = None if cfg_path is None else _read_config(pre, cfg_path)
-        args = _build_parser(cfg).parse_args(args_in)
+        args = (_build_parser(cfg) if cfg else plain).parse_args(args_in)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -381,23 +381,25 @@ _ROOT_TOL = 1e-12
 
 
 def _critical_d(m: int, alpha: float) -> float:
-    """The d where P(D_m > d) = alpha, by regula falsi in its Illinois form
-    (Dowell & Jarratt, BIT 11, 1971) on [0.5/m, Massart(alpha)]. The
-    survival is 1 at the left end, and Massart's bound puts it at most
-    alpha at the right end, so only that end is read. An end kept twice in
-    a row has its function value halved, so both ends close in on the
-    root; a secant point that rounds onto an end is replaced by the
-    midpoint. It stops when the bracket is _ROOT_TOL wide: 9 reads at
-    m = 3048, where bisection to 1e-7 took 19, and no more than bisection
-    to _ROOT_TOL takes (about 40) at any alpha and m tried in the tests."""
+    """The d where P(D_m > d) = alpha, by Illinois regula falsi (Dowell &
+    Jarratt, BIT 11, 1971) on log P(D_m > d) - log alpha, near a parabola
+    in d, over [0.5/m, Massart(alpha)]; the survival is 1 at the left end.
+    An empty read (past the 2^-54 cut, or d >= 1) stands in as 2^-54. An
+    end kept twice has its value halved; a secant point rounding onto an end
+    becomes the midpoint. Stops at a _ROOT_TOL bracket: 6 reads at m = 3048
+    for alpha from 0.05 to 1e-9."""
+
+    def excess(d):
+        return math.log(max(ks_pvalue(d, m), 2.0**-54)) - math.log(alpha)
+
     lo, hi = 0.5 / m, min(1.0, _massart_d(m, alpha))
-    f_lo, f_hi = 1.0 - alpha, ks_pvalue(hi, m) - alpha
+    f_lo, f_hi = -math.log(alpha), excess(hi)
     kept = 0
     while hi - lo > _ROOT_TOL:
         d = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         if not lo < d < hi:
             d = 0.5 * (lo + hi)
-        f = ks_pvalue(d, m) - alpha
+        f = excess(d)
         if f == 0.0:
             return d
         if f > 0.0:

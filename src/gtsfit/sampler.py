@@ -22,10 +22,12 @@ four-word columns (8 KB); J s is the XOR of the columns at the set bits of
 s. A call runs only as many lanes as its n needs.
 
 Each uniform u is mapped through the monotone-repaired CDF field: binary
-search over the node values brackets u in one grid cell, then bisection on
-the same four-point cubic interpolant used by field reads solves
-F(x) = u inside the cell. Because the forward read and the inversion share
-one interpolant, F(x_i) returns u_i to well below 1e-6.
+search over the node values brackets u in one grid cell, then two Newton
+steps from the linear guess, each clipped to the cell, solve F(x) = u on
+the cell's cubic (field reads' interpolant) in powers of the offset t. A
+point with no guess (a flat cell), a slope ending non-positive or a
+residual |F(x) - u| above 2^-50 is bisected on the cubic instead, so no
+residual exceeds 2^-50 unless the bisection's own does.
 
 The inversion and the CSV writer both stream in blocks of _BLOCK = 8192
 draws, so their temporaries stay cache-sized and their memory does not
@@ -160,26 +162,40 @@ class SampleConfig:
             raise DomainError("sample count must be >= 1")
 
 
-def _coverage_ok(field: Field) -> bool:
-    v = field.values
-    return v[2] <= COVERAGE_TOL and v[-3] >= 1.0 - COVERAGE_TOL
-
-
 def _default_cdf(p: GtsParams) -> Field:
     center = cumulant(p, 1)
     half = max(6.0 * math.sqrt(cumulant(p, 2)), 1.0)
     for _ in range(8):
         field = cdf_field(p, auto_grid(p, center - half, center + half))
-        if _coverage_ok(field):
+        v = field.values
+        if v[2] <= COVERAGE_TOL and v[-3] >= 1.0 - COVERAGE_TOL:
             return field
         half *= 2.0
     raise GridError("no grid wide enough to cover both distribution tails")
 
 
+def _cubic(c, t):
+    """The cell's cubic f1 + c1 t + c2 t^2 + c3 t^3 at offsets t."""
+    f1, c1, c2, c3 = c
+    return f1 + t * (c1 + t * (c2 + t * c3))
+
+
+def _bisect(c, u):
+    """t in [0, 1] with _cubic(c, t) = u, by 60 bisection steps."""
+    lo = np.zeros(u.size)
+    hi = np.ones(u.size)
+    for _ in range(60):
+        t = 0.5 * (lo + hi)
+        below = _cubic(c, t) < u
+        lo = np.where(below, t, lo)
+        hi = np.where(below, hi, t)
+    return 0.5 * (lo + hi)
+
+
 def _invert(field: Field, u: np.ndarray) -> np.ndarray:
-    """Solve F(x) = u per point: node-level bracket, then bisection on the
-    cell's cubic interpolant (the same stencil interpolate() reads), one
-    block of _BLOCK uniforms at a time."""
+    """Solve F(x) = u per point by Newton on the cell's cubic, bisecting
+    where t is not finite, its slope not positive or the residual above
+    2^-50 (module docstring), one block of _BLOCK uniforms at a time."""
     grid = field.grid
     f = field.values
     x_nodes = grid.x_nodes()
@@ -188,51 +204,23 @@ def _invert(field: Field, u: np.ndarray) -> np.ndarray:
         ub = u[s : s + _BLOCK]
         cell = np.clip(np.searchsorted(f, ub, side="left") - 1, 2, grid.n - 4)
         f0, f1, f2, f3 = f[cell - 1], f[cell], f[cell + 1], f[cell + 2]
-        lo = np.zeros(ub.size)
-        hi = np.ones(ub.size)
-        t, a, b, c, w, val, below = np.empty((7, ub.size))
-        for _ in range(60):
-            # interpolate()'s weights, with a, b, c = t - 1, t - 2, t + 1:
-            # w0 = -t a b / 6, w1 = c a b / 2, w2 = -c t b / 2, w3 = c t a / 6,
-            # and val = f0 w0 + f1 w1 + f2 w2 + f3 w3 summed left to right.
-            # Moving the signs of w0 and w2 onto the sums, reusing c t and
-            # taking / 2 as * 0.5 are exact, so val is bit-equal to that form.
-            np.add(lo, hi, out=t)
-            t *= 0.5
-            np.subtract(t, 1.0, out=a)
-            np.subtract(t, 2.0, out=b)
-            np.add(t, 1.0, out=c)
-            np.multiply(t, a, out=w)
-            w *= b
-            w /= 6.0
-            np.multiply(f0, w, out=val)
-            np.multiply(c, a, out=w)
-            w *= b
-            w *= 0.5
-            w *= f1
-            np.subtract(w, val, out=val)
-            c *= t
-            np.multiply(c, b, out=w)
-            w *= 0.5
-            w *= f2
-            val -= w
-            np.multiply(c, a, out=w)
-            w /= 6.0
-            w *= f3
-            val += w
-            # lo = t where val < u, else hi = t. As 0 <= lo <= t <= hi <= 1,
-            # max(lo, t [val < u]) and min(hi, t + 2 [val < u]) pick the same
-            # bits without the branch a masked copy mispredicts on random u.
-            np.less(val, ub, out=below)
-            np.multiply(t, below, out=w)
-            np.maximum(lo, w, out=lo)
-            np.add(below, below, out=w)
-            w += t
-            np.minimum(hi, w, out=hi)
-        np.add(lo, hi, out=t)
-        t *= 0.5
-        t *= grid.dx
-        np.add(x_nodes[cell], t, out=out[s : s + ub.size])
+        # interpolate()'s Lagrange weights at offset t, gathered by powers of t
+        c = (f1, f2 - f0 / 3.0 - f1 / 2.0 - f3 / 6.0,
+             (f0 + f2) / 2.0 - f1, (f3 - f0) / 6.0 + (f1 - f2) / 2.0)
+        # a flat cell gives 0 / 0 and a zero slope an infinite step (clipped
+        # to the cell); the check below sends what stays unsolved to _bisect
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.clip((ub - f1) / (f2 - f1), 0.0, 1.0)
+            for step in range(3):
+                slope = c[1] + t * (2.0 * c[2] + 3.0 * t * c[3])
+                resid = _cubic(c, t) - ub
+                if step < 2:
+                    t = np.clip(t - resid / slope, 0.0, 1.0)
+        # 2^-50 is twice the bisection's own residual floor
+        bad = ~(slope > 0.0) | ~(np.abs(resid) <= 2.0**-50)
+        if bad.any():
+            t[bad] = _bisect([a[bad] for a in c], ub[bad])
+        np.add(x_nodes[cell], t * grid.dx, out=out[s : s + ub.size])
     return out
 
 

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior through cli.main and as a separate process."""
 
+import gc
 import json
 import os
 import shutil
@@ -292,6 +293,17 @@ class TestSimulate:
 
     def test_gbm_params_rejected(self, gbm_json):
         assert cli.main(["simulate", "--params", gbm_json, "--n", "5", "--seed", "1"]) == 2
+
+    def test_repeat_call_leaves_no_cyclic_garbage(self, tmp_path, spy_json):
+        """A process that calls main repeatedly (the benchmark does) keeps
+        its heap: a call leaves nothing that only the cyclic collector can
+        free. Parsers built per call left about 225 such objects a call."""
+        argv = ["simulate", "--params", spy_json, "--n", "10", "--seed", "1",
+                "--out", str(tmp_path / "draws.csv")]
+        assert cli.main(argv) == 0
+        gc.collect()
+        assert cli.main(argv) == 0
+        assert gc.collect() == 0
 
     @pytest.mark.parametrize("tails", [(-0.5, -0.5, 0.5), (0.5, -0.5, 0.0)])
     def test_law_with_atom_exits_2(self, tmp_path, capsys, tails):
