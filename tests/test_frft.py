@@ -5,6 +5,7 @@ quadrature of the inversion integrals (scipy.integrate.quad, epsrel 1e-12)
 over the same truncated frequency range the grids use.
 """
 
+import importlib
 import itertools
 import math
 import mmap
@@ -327,6 +328,70 @@ class TestWorkspace:
         fresh = self._batch(spy_params, ga, None)
         for got in (first, again, kept):
             assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
+
+    @pytest.fixture
+    def spectra(self, monkeypatch):
+        """The params of every _spectrum call a field batch makes."""
+        frft_mod = importlib.import_module("gtsfit.frft")
+        real, calls = frft_mod._spectrum, []
+
+        def counted(p, *args, **kw):
+            calls.append(p)
+            return real(p, *args, **kw)
+
+        monkeypatch.setattr(frft_mod, "_spectrum", counted)
+        return calls
+
+    @staticmethod
+    def _read(p, g, read, work, level=36):
+        kw = dict(read=read, deconvolve=read.deconvolve, work=work)
+        if level == 36:
+            kw["scatter"] = read.scatter
+        return _field_batch(p, g, level, **kw)
+
+    def test_level_36_takes_the_level_1_spectrum(self, spy_params, spectra):
+        """A level-36 batch right after a level-1 batch of the same params,
+        grid and read on one workspace builds no spectrum of its own, and
+        equals a batch on a fresh workspace bit for bit, though the level-1
+        result was overwritten in between. A level-36 batch of other params
+        first sizes the workspace, as a fit's first iterate does."""
+        g = auto_grid(spy_params, -30.0, 30.0)
+        read = _kernel_read(g, np.linspace(-3.0, 3.0, 500))
+        fresh = self._read(spy_params, g, read, None)
+        work = _Workspace()
+        self._read(replace(spy_params, mu=0.1), g, read, work)
+        del spectra[:]
+        self._read(spy_params, g, read, work, level=1)[:] = np.nan
+        got = self._read(spy_params, g, read, work)
+        assert len(spectra) == 1
+        assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
+
+    @pytest.mark.parametrize("case", ["params", "sample", "remap", "level 8 between", "level 1 between"])
+    def test_no_spectrum_taken_from_another_batch(self, spy_params, spectra, case):
+        """The level-36 batch builds its own spectrum, and still equals a
+        fresh-workspace batch bit for bit, after a level-1 batch of other
+        params, or of the same grid read at another sample; after a level-1
+        batch on a grid twice the size of the one the workspace was sized
+        on, where the level-36 batch maps a new buffer; and when a level-8
+        or level-1 batch of other params comes between the two."""
+        g = auto_grid(spy_params, -30.0, 30.0)
+        x = np.linspace(-3.0, 3.0, 500)
+        other = replace(spy_params, alpha_plus=1.01 * spy_params.alpha_plus)
+        work = _Workspace()
+        self._read(other, g, _kernel_read(g, x), work)
+        if case == "remap":
+            g = replace(g, n=2 * g.n, dx=g.dx / 2)
+        read = _kernel_read(g, x)
+        first = {"params": (other, g, read), "sample": (spy_params, g, _kernel_read(g, x + 0.01))}
+        self._read(*first.get(case, (spy_params, g, read)), work, level=1)
+        if case.endswith("between"):
+            self._read(other, g, read, work, level=int(case.split()[1]))
+        mapped, done = work._flat.base.obj, len(spectra)
+        got = self._read(spy_params, g, read, work)
+        assert len(spectra) == done + 1
+        assert (work._flat.base.obj is not mapped) == (case == "remap")
+        fresh = self._read(spy_params, g, read, None)
+        assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
 
     @pytest.mark.parametrize("level", [1, 8])
     def test_results_never_share_the_workspace(self, spy_params, level):

@@ -259,6 +259,60 @@ class TestFit:
         fit(spy_sample_600, FitOptions(init=spy_params, tol_grad=1e-6))
         assert len(works) > 2 and all(w is works[0] for w in works)
 
+    def test_one_kernel_read_per_grid_change(self, monkeypatch, spy_params, spy_sample_600):
+        """A fit builds a kernel read for its first iterate, one more each
+        time an iterate's grid differs from the iterate's before, and one per
+        candidate regrid; an iterate on its predecessor's grid reuses that
+        context's read. This fit changes grid twice and regrids once."""
+        reads, grids, regrids = [], [], []
+        real_read, real_eval = mle._kernel_read, mle._evaluate
+        real_try, real_ctx = mle._try_candidate, mle._grid_context
+        trying = []
+
+        def read(grid, x, *args):
+            reads.append(grid)
+            return real_read(grid, x, *args)
+
+        def evaluate(p, y, level, ctx=None):
+            if level == 36:
+                grids.append(ctx.grid)
+            return real_eval(p, y, level, ctx)
+
+        def candidate(v, y, ctx):
+            trying.append(1)
+            try:
+                return real_try(v, y, ctx)
+            finally:
+                trying.pop()
+
+        def context(*args):
+            if trying:
+                regrids.append(1)
+            return real_ctx(*args)
+
+        for name, fn in [("_kernel_read", read), ("_evaluate", evaluate),
+                         ("_try_candidate", candidate), ("_grid_context", context)]:
+            monkeypatch.setattr(mle, name, fn)
+        fit(spy_sample_600, FitOptions(init=spy_params, tol_grad=1e-6))
+        changes = sum(a != b for a, b in zip(grids, grids[1:]))
+        assert changes > 0 and regrids
+        assert len(reads) == 1 + changes + len(regrids) < len(grids)
+
+    def test_grid_context_reuses_prev_on_its_grid(self, spy_params, spy_sample_600):
+        """prev itself on its own grid, what the workspace holds kept; on
+        another grid a new read sharing prev's workspace and scratch, and
+        what the workspace held, which no batch can match now, dropped."""
+        y = spy_sample_600
+        prev = mle._grid_context(spy_params, y)
+        mle._evaluate(spy_params, y, 1, prev)
+        assert mle._grid_context(replace(spy_params, mu=spy_params.mu + 1e-9), y, prev) is prev
+        assert prev.work.held is not None
+        wide = replace(spy_params, beta_plus=0.3, beta_minus=0.3)
+        other = mle._grid_context(wide, y, prev)
+        assert other.grid != prev.grid and other.read is not prev.read
+        assert other.work is prev.work and other.read.gather is prev.read.gather
+        assert prev.work.held is None
+
     def test_candidate_regrid_keeps_the_workspace(self, spy_params, spy_sample_600):
         """A candidate whose tails the pinned grid cannot hold (beta+- = 0.3
         needs xi_max 1024 where the spy law's grid has 256) is read on its
