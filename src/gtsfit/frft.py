@@ -411,9 +411,12 @@ def _field_batch(
 
     The batch's large arrays come from work (a fresh _Workspace if None),
     so the batches of a fit reuse the same pages: the spectrum S and the
-    (17, J) psi_jet block in one (18, J) complex block (S alone at level 1),
-    the irfft output block, and one scratch area that the spectrum's six
-    float rows, the jet's three and the rfft output take in turn. The
+    (17, J) psi_jet block in one (18, J) complex block, the irfft output
+    block, and one scratch area that the spectrum's six float rows, the
+    jet's three and the rfft output take in turn. Every level carves that
+    level-36 layout and a level-1 batch writes only S and one output row,
+    so a level-36 batch after a level-1 batch on the same grid maps no new
+    buffer and can take what it holds. The
     density row is inverted first, since the curvature sums need 1 / f;
     the gradient rows are then formed in place, S times the jet rows, once
     the sums have read the jet. The returned arrays never share memory
@@ -427,19 +430,20 @@ def _field_batch(
     _check_tail(p, grid)
     h, size = _half_size(grid)
     n_out = _PAD * grid.n
-    step = min(level, 7, max(1, _BLOCK_POINTS // n_out))
-    height = 1 if level == 1 else 18
+    step = min(7, max(1, _BLOCK_POINTS // n_out))
     work = work or _Workspace()
     tag = (p, grid, read, deconvolve)
     read = read or np.copy
-    # xi, then the spectrum row block[0], lead the carve at every level, so
-    # the spectrum row a level-1 batch leaves is where level 36 reads it
+    # every level carves level 36's layout (a level-1 batch touches only its
+    # first rows), so the spectrum row a level-1 batch leaves is where
+    # level 36 reads it, and level 36 on that grid maps no larger buffer
     xi, block, out, scratch = work.carve(
-        size, 2 * height * size, step * n_out, max(6 * size, n_out + 2)
+        size, 2 * 18 * size, step * n_out, max(6 * size, n_out + 2)
     )
     np.multiply(np.arange(size), h, out=xi)
-    block = block.view(complex).reshape(height, size)
-    out = out.reshape(step, n_out)
+    block = block.view(complex).reshape(18, size)
+    step = min(level, step)
+    out = out.reshape(-1, n_out)
     spec = block[0]
     held = work.held
     if level == 36 and held is not None and all(a is b for a, b in zip(held[0], tag)):

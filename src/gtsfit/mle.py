@@ -21,10 +21,11 @@ independent of the sample size. Trial steps are accepted or rejected on
 the log-likelihood alone, so each costs a batch of the density row only.
 
 A fit rebuilds nothing it holds: its iterates keep one context (grid,
-kernel read, workspace) while the grid is unchanged (_grid_context), and
-an iterate that is the trial just accepted on that grid takes the trial's
-spectrum and density reads from the workspace (frft _Workspace.held), so
-its batch builds only the gradient rows and curvature sums. Bit for bit.
+kernel read, workspace) while the grid is unchanged (_grid_context), an
+iterate starts from the context that read its accepted trial, the
+candidate's own grid included, and so takes the trial's spectrum and
+density reads from the workspace (frft _Workspace.held); its batch builds
+only the gradient rows and curvature sums. Bit for bit.
 
 The likelihood surface is not concave far from the optimum: the Hessian
 picks up positive eigenvalues along the beta directions and a raw Newton
@@ -238,17 +239,21 @@ def max_eigenvalue(h) -> float:
 _EVAL_ERRORS = (DomainError, GridError, LikelihoodError, FloatingPointError, OverflowError)
 
 
-def _try_candidate(v: np.ndarray, y: np.ndarray, ctx: _GridContext):
+def _try_candidate(v: np.ndarray, y: np.ndarray, ctx: _GridContext, on_regrid=None):
     """Log-likelihood of a trial point from a density-only batch, preferring
     the pinned grid but regridding to the candidate's own wider grid when its
-    tails need one. Returns (params, ll, context used) or None if unusable:
-    outside the parameter domain, or not evaluable on either grid."""
+    tails need one; on_regrid, if given, is called with the new context
+    before the candidate's batch runs on it. Returns (params, ll, context
+    used) or None if unusable: outside the parameter domain, or not
+    evaluable on either grid."""
     try:
         p = GtsParams.from_vector(v)
         try:
             return p, _evaluate(p, y, 1, ctx)[0], ctx
         except GridError:
             own = _grid_context(p, y, ctx)
+            if on_regrid is not None:
+                on_regrid(own)
             return p, _evaluate(p, y, 1, own)[0], own
     except _EVAL_ERRORS:
         return None
@@ -324,7 +329,7 @@ def fit(data, opts: FitOptions = FitOptions()):
             return p, FitTrace(tuple(rows)), True
         if crawl >= _CRAWL_RUNS or it == opts.max_iter:
             break
-        p, size, tau, radius = _trust_region_step(p, ll, sc, hess, radius, y, ctx, rows)
+        p, ctx, size, tau, radius = _trust_region_step(p, ll, sc, hess, radius, y, ctx, rows)
         crawl = crawl + 1 if tau > 0.0 and size <= _CRAWL_STEP else 0
     return p, FitTrace(tuple(rows)), False
 
@@ -379,25 +384,30 @@ def _trust_step(ev, Q, g, radius):
 
 
 def _accepts(v, s, y, ctx, ll, refs):
-    """Judge the trial point v + s: (params, gain) if its log-likelihood is
-    no more than _SLACK below the iterate's, else None. The gain is against
-    the iterate re-read on the grid that read the candidate; refs caches
-    those reads by grid, and holds ll, the iterate's log-likelihood on the
-    pinned grid, which stands in for a re-read that fails."""
-    got = _try_candidate(v + s, y, ctx)
+    """Judge the trial point v + s: (params, gain, context that read it) if
+    its log-likelihood is no more than _SLACK below the iterate's, else
+    None. The gain is against the iterate re-read on the grid that read the
+    candidate; refs caches those reads by grid, and holds ll, the iterate's
+    log-likelihood on the pinned grid, which stands in for a re-read that
+    fails. On a candidate's own grid the iterate is re-read first, so the
+    workspace holds the candidate's batch when it returns (_Workspace), and
+    the next iterate's level-36 batch can take it."""
+
+    def reread(own):
+        if own.grid not in refs:
+            try:
+                refs[own.grid] = _evaluate(GtsParams.from_vector(v), y, 1, own)[0]
+            except _EVAL_ERRORS:
+                refs[own.grid] = ll
+
+    got = _try_candidate(v + s, y, ctx, reread)
     if got is None:
         return None
     p, cand_ll, used = got
-    ref = refs.get(used.grid)
-    if ref is None:
-        try:
-            ref = _evaluate(GtsParams.from_vector(v), y, 1, used)[0]
-        except _EVAL_ERRORS:
-            ref = ll
-        refs[used.grid] = ref
+    ref = refs[used.grid]
     if cand_ll < ref - _SLACK:
         return None
-    return p, cand_ll - ref
+    return p, cand_ll - ref, used
 
 
 def _trust_region_step(p, ll, sc, hess, radius, y, ctx, rows):
@@ -406,8 +416,8 @@ def _trust_region_step(p, ll, sc, hess, radius, y, ctx, rows):
     density-only batch. The radius follows rho, the actual over the
     predicted gain: doubled when rho > 3/4 on a step that reached it,
     set to a quarter of the step when rho < 1/4 or the trial is rejected.
-    Returns (params, step norm, tau of the subproblem, radius for the next
-    iterate)."""
+    Returns (params, the context that read them, step norm, tau of the
+    subproblem, radius for the next iterate)."""
     v = p.to_vector()
     ev, Q = np.linalg.eigh(-hess)
     refs = {ctx.grid: ll}
@@ -416,7 +426,7 @@ def _trust_region_step(p, ll, sc, hess, radius, y, ctx, rows):
         size = float(np.linalg.norm(s))
         got = _accepts(v, s, y, ctx, ll, refs)
         if got is not None:
-            q, gain = got
+            q, gain, used = got
             # both gains carry the likelihood's resolution, so rho tends to 1
             # as they shrink toward it (Conn, Gould & Toint 2000, 17.4.2)
             rho = (gain + _SLACK) / (float(sc @ s + 0.5 * s @ hess @ s) + _SLACK)
@@ -424,7 +434,7 @@ def _trust_region_step(p, ll, sc, hess, radius, y, ctx, rows):
                 radius *= 2.0
             elif rho < _SHRINK_RHO:
                 radius = 0.25 * size
-            return q, size, tau, radius
+            return q, used, size, tau, radius
         radius = 0.25 * size
     raise ConvergenceError(
         "no acceptable step inside a shrinking trust region",

@@ -29,10 +29,27 @@ point with no guess (a flat cell), a slope ending non-positive or a
 residual |F(x) - u| above 2^-50 is bisected on the cubic instead, so no
 residual exceeds 2^-50 unless the bisection's own does.
 
-The inversion and the CSV writer both stream in blocks of _BLOCK = 8192
-draws, so their temporaries stay cache-sized and their memory does not
-grow with the sample count beyond the output itself. A draw depends only
-on its own uniform, so the blocks change no bit of any draw.
+The inversion streams in blocks of _BLOCK = 8192 draws, so its
+temporaries stay cache-sized and its memory does not grow with the sample
+count beyond the output itself. A draw depends only on its own uniform, so
+the blocks change no bit of any draw.
+
+The CSV writer gives each draw the bytes of "%.17g\n", in numpy, blocks
+of _ROWS = 2048 draws at a time (its buffers and strings, about 0.5 MB,
+then stay under the inversion's). A draw x with 1e-4 <= |x| < 1e17 is in
+%.17g's fixed notation, at decimal exponent e in [-4, 16]. There
+x 10^(16 - e) is exactly hi + lo, Dekker's error-free product (10^k is a
+double for k <= 22), and rounding it half-even to the integer D gives the
+17 significant digits; an e from log10 that is one off shows as hi + lo
+outside [10^16, 10^17) and is moved. D splits into the integer part and
+the fraction, both rendered as 4-digit groups through one uint32 ASCII
+table, a fraction group followed by zero groups through the table's
+variant with its trailing zeros NUL. Each draw is a column of 13 words
+(sign, 5 integer groups, point, 5 fraction groups, newline), a per-e mask
+NULs the places %.17g does not print, and the NULs are dropped with
+bytes.translate. Every other draw (0, -0, inf, nan, |x| < 1e-4 and
+|x| >= 1e17) is formatted by %.17g itself, one % per block, and a block of
+only those is written as that string.
 """
 
 from __future__ import annotations
@@ -56,6 +73,16 @@ _LANE = 128
 _BIT = np.arange(64, dtype=np.uint64)
 
 _BLOCK = 8192
+
+_ROWS = 2048
+
+_ROW = 13
+
+_MINUS, _DOT, _NL = np.frombuffer(b"-\0\0\0.\0\0\0\n\0\0\0", np.uint32)
+
+_SPLIT = 2.0**27 + 1.0
+
+_DIVISORS = 10 ** np.arange(18, dtype=np.int64)
 
 COVERAGE_TOL = 1e-6
 
@@ -229,14 +256,140 @@ def sample_gts(p: GtsParams, cfg: SampleConfig) -> np.ndarray:
     return _invert(_default_cdf(p), uniforms(cfg.seed, cfg.n))
 
 
+@functools.cache
+def _digit_tables():
+    """(words, masks, pow10, pow10_hi, pow10_lo) for _write_samples.
+
+    words is a uint32 ASCII table of 4-digit groups: entry g < 10000 holds
+    g's four digits, entry 10000 + g the same with its trailing zeros NUL.
+    Column e + 4 of the (_ROW, 21) masks keeps, of a draw's words, the
+    e + 1 integer places (one, for the 0, when e < 0) and the 16 - e
+    fraction places of decimal exponent e, and NULs the rest. pow10 holds
+    the exact doubles 10^0..10^21, with their Veltkamp halves."""
+    g = np.arange(10000, dtype=np.uint16)
+    plain = np.empty((10000, 4), dtype=np.uint8)
+    for j, place in enumerate((1000, 100, 10, 1)):
+        plain[:, j] = g // place % 10 + 48
+    trailing = np.logical_and.accumulate(plain[:, ::-1] == 48, axis=1)[:, ::-1]
+    words = np.concatenate([plain, np.where(trailing, 0, plain)]).view(np.uint32).ravel()
+    keep, cut = b"\xff", b"\0"
+    masks = np.frombuffer(b"".join(
+        cut * (23 - max(e, 0)) + keep * (1 + max(e, 0))
+        + keep * 4 + cut * (e + 4) + keep * (16 - e) + keep * 4
+        for e in range(-4, 17)
+    ), np.uint32).reshape(21, _ROW).T.copy()
+    pow10 = np.array([float(10**k) for k in range(22)])
+    t = _SPLIT * pow10
+    pow10_hi = t - (t - pow10)
+    return words, masks, pow10, pow10_hi, pow10 - pow10_hi
+
+
+def _two_product(a, k):
+    """(hi, lo) with hi + lo = a 10^k exactly and hi = fl(a 10^k)
+    (Dekker 1971), for 0 <= k <= 21 and a as _digits passes it, where no
+    partial product overflows or underflows."""
+    _, _, pow10, pow10_hi, pow10_lo = _digit_tables()
+    b, b_hi, b_lo = pow10[k], pow10_hi[k], pow10_lo[k]
+    hi = a * b
+    t = _SPLIT * a
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _digits(a):
+    """(D, e) for finite doubles 1e-4 <= a < 1e17: a rounded half-even to
+    17 significant digits is D 10^(e - 16), 10^16 <= D < 10^17.
+
+    A first e from log10 may be one off near a power of ten, which the
+    exact product a 10^(16 - e) = hi + lo shows; those rows alone take it
+    again with e moved. hi >= 2^53 is then an even integer, so rounding
+    hi + lo half-even is hi + rint(lo), and |lo| <= 8. No rounding carries
+    into an 18th digit: the largest double below 10^(e + 1), e in
+    [-4, 16], gives hi + lo at least 8.3 below 10^17."""
+    e = np.clip(np.floor(np.log10(a)), -5, 16).astype(np.intp)
+    hi, lo = _two_product(a, 16 - e)
+    # hi strictly inside (10^16, 10^17) puts hi + lo there too
+    rows = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))
+    while rows.size:
+        h, l = hi[rows], lo[rows]
+        step = ((h > 1e17) | ((h == 1e17) & (l >= 0.0))).astype(np.intp)
+        step -= (h < 1e16) | ((h == 1e16) & (l < 0.0))
+        rows, step = rows[step != 0], step[step != 0]
+        e[rows] += step
+        hi[rows], lo[rows] = _two_product(a[rows], 16 - e[rows])
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64), e
+
+
 def _write_samples(fh, samples) -> None:
-    """The one-column CSV, formatted and written one block of _BLOCK draws
-    at a time (a whole-file string would cost its size in memory again)."""
-    a = np.asarray(samples, dtype=float)
+    """The one-column CSV, the bytes of "%.17g\\n" per draw, formatted and
+    written one block of _ROWS draws at a time (module docstring)."""
+    a = np.asarray(samples, dtype=float).reshape(-1)
     fh.write("sample\n")
-    for s in range(0, a.size, _BLOCK):
-        rows = a[s : s + _BLOCK].tolist()
-        fh.write(("%.17g\n" * len(rows)) % tuple(rows))
+    words, masks = _digit_tables()[:2]
+    # a draw is a column of _ROW words: row 0 the sign, rows 1-5 groups of 4
+    # integer places, 6 the point, 7-11 groups of 4 fraction places, 12 the
+    # newline. Every index stays in the table; the take's words in rows 0,
+    # 6 and 12 are overwritten.
+    index = np.zeros(_ROW * _ROWS, dtype=np.intp)
+    out = np.empty(_ROW * _ROWS, dtype=np.uint32)
+    keep = np.empty_like(out)
+    for s in range(0, a.size, _ROWS):
+        x = a[s : s + _ROWS]
+        m = x.size
+        ax = np.abs(x)
+        slow = np.flatnonzero(~((ax >= 1e-4) & (ax < 1e17)))
+        if slow.size:
+            # 0, -0, inf, nan and the exponent notation's range: %.17g, as
+            # one % of the whole block when none of it is in range
+            text = ("%.17g\n" * slow.size) % tuple(x[slow].tolist())
+            if slow.size == m:
+                fh.write(text)
+                continue
+            # a finite stand-in, so nothing below warns or casts a nan
+            ax[slow] = 1.0
+        d, e = _digits(ax)
+        # the integer part and the fraction's 16 - e places, each as an
+        # integer of 20 places; when e < 0 the integer part is 0 and the
+        # fraction d, behind -e - 1 zero places
+        div = _DIVISORS[np.minimum(16 - e, 17)]
+        ip = d // div
+        parts = np.stack([ip, d - ip * div])
+        idx = index[: _ROW * m].reshape(_ROW, m)
+        # // by a constant is a multiply (libdivide), % a division, so
+        # remainders are taken as v - q c
+        q8 = parts // 10**8
+        lo8 = parts - q8 * 10**8
+        idx[1::6] = g0 = q8 // 10**8
+        mid = q8 - g0 * 10**8
+        idx[2::6] = g1 = mid // 10**4
+        idx[3::6] = g2 = mid - g1 * 10**4
+        idx[4::6] = g3 = lo8 // 10**4
+        idx[5::6] = g4 = lo8 - g3 * 10**4
+        # a fraction group followed by zero groups only drops its trailing zeros
+        lo_zero = lo8[1] == 0
+        idx[7] += 10000 * (lo_zero & (mid[1] == 0))
+        idx[8] += 10000 * (lo_zero & (g2[1] == 0))
+        idx[9] += 10000 * lo_zero
+        idx[10] += 10000 * (g4[1] == 0)
+        idx[11] += 10000
+        row = out[: _ROW * m].reshape(_ROW, m)
+        np.take(words, idx, out=row, mode="clip")
+        mask = keep[: _ROW * m].reshape(_ROW, m)
+        np.take(masks, e + 4, axis=1, out=mask, mode="clip")
+        row &= mask
+        # the sign takes the word before the block's first integer word, and
+        # the words before it, NUL for every draw, are not written
+        lead = 4 - max(int(e.max()), 0) // 4
+        row[lead] = (x < 0.0) * _MINUS
+        row[6] = (parts[1] != 0) * _DOT
+        row[-1] = _NL
+        row = row[lead:]
+        if slow.size:
+            # each such draw's %.17g line, NUL-padded to its column of words
+            lines = np.array(text.encode().splitlines(keepends=True), dtype=f"S{4 * len(row)}")
+            row[:, slow] = lines.view(np.uint32).reshape(slow.size, -1).T
+        fh.write(row.T.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def samples_to_csv(samples, path) -> None:

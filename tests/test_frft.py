@@ -366,24 +366,46 @@ class TestWorkspace:
         assert len(spectra) == 1
         assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
 
+    def test_level_1_batch_sizes_the_workspace_for_level_36(self, spy_params, spectra):
+        """A level-1 batch on a grid twice the size of the one the workspace
+        was sized on maps the new buffer at level 36's layout, so the
+        level-36 batch of the same params, grid and read after it maps
+        nothing and builds no spectrum, as a fit's iterate after an accepted
+        regridded trial does, and equals a fresh-workspace batch."""
+        g = auto_grid(spy_params, -30.0, 30.0)
+        x = np.linspace(-3.0, 3.0, 500)
+        work = _Workspace()
+        self._read(replace(spy_params, mu=0.1), g, _kernel_read(g, x), work)
+        g = replace(g, n=2 * g.n, dx=g.dx / 2)
+        read = _kernel_read(g, x)
+        small = work._flat.base.obj
+        self._read(spy_params, g, read, work, level=1)
+        mapped, done = work._flat.base.obj, len(spectra)
+        assert mapped is not small
+        got = self._read(spy_params, g, read, work)
+        assert len(spectra) == done and work._flat.base.obj is mapped
+        fresh = self._read(spy_params, g, read, None)
+        assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
+
     @pytest.mark.parametrize("case", ["params", "sample", "remap", "level 8 between", "level 1 between"])
     def test_no_spectrum_taken_from_another_batch(self, spy_params, spectra, case):
         """The level-36 batch builds its own spectrum, and still equals a
         fresh-workspace batch bit for bit, after a level-1 batch of other
         params, or of the same grid read at another sample; after a level-1
-        batch on a grid twice the size of the one the workspace was sized
-        on, where the level-36 batch maps a new buffer; and when a level-8
-        or level-1 batch of other params comes between the two."""
+        batch on the grid the workspace was sized on, when the level-36
+        batch is on a grid twice the size and maps a new buffer; and when a
+        level-8 or level-1 batch of other params comes between the two."""
         g = auto_grid(spy_params, -30.0, 30.0)
         x = np.linspace(-3.0, 3.0, 500)
         other = replace(spy_params, alpha_plus=1.01 * spy_params.alpha_plus)
         work = _Workspace()
         self._read(other, g, _kernel_read(g, x), work)
-        if case == "remap":
-            g = replace(g, n=2 * g.n, dx=g.dx / 2)
         read = _kernel_read(g, x)
         first = {"params": (other, g, read), "sample": (spy_params, g, _kernel_read(g, x + 0.01))}
         self._read(*first.get(case, (spy_params, g, read)), work, level=1)
+        if case == "remap":
+            g = replace(g, n=2 * g.n, dx=g.dx / 2)
+            read = _kernel_read(g, x)
         if case.endswith("between"):
             self._read(other, g, read, work, level=int(case.split()[1]))
         mapped, done = work._flat.base.obj, len(spectra)

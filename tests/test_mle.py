@@ -260,28 +260,39 @@ class TestFit:
         assert len(works) > 2 and all(w is works[0] for w in works)
 
     def test_one_kernel_read_per_grid_change(self, monkeypatch, spy_params, spy_sample_600):
-        """A fit builds a kernel read for its first iterate, one more each
-        time an iterate's grid differs from the iterate's before, and one per
-        candidate regrid; an iterate on its predecessor's grid reuses that
-        context's read. This fit changes grid twice and regrids once."""
-        reads, grids, regrids = [], [], []
-        real_read, real_eval = mle._kernel_read, mle._evaluate
-        real_try, real_ctx = mle._try_candidate, mle._grid_context
-        trying = []
+        """A fit builds a kernel read for its first iterate, one per
+        candidate regrid, and one each time an iterate's grid differs from
+        that of the context that read its accepted trial. An iterate whose
+        accepted trial was regridded is read on that trial's context, so
+        its grid change builds no read. This fit changes grid twice, once
+        onto an accepted regridded trial's grid, and regrids once."""
+        frft_mod = importlib.import_module("gtsfit.frft")
+        events, regrids, trying, spectra, built = [], [], [], [], [0]
+        real_read, real_eval, real_spectrum = mle._kernel_read, mle._evaluate, frft_mod._spectrum
+        real_try, real_ctx, real_accepts = mle._try_candidate, mle._grid_context, mle._accepts
 
         def read(grid, x, *args):
-            reads.append(grid)
+            events.append(("read", grid))
             return real_read(grid, x, *args)
 
         def evaluate(p, y, level, ctx=None):
-            if level == 36:
-                grids.append(ctx.grid)
-            return real_eval(p, y, level, ctx)
+            if level != 36:
+                return real_eval(p, y, level, ctx)
+            events.append(("iterate", ctx))
+            before = built[0]
+            try:
+                return real_eval(p, y, level, ctx)
+            finally:
+                spectra.append(built[0] - before)
 
-        def candidate(v, y, ctx):
+        def spectrum(*args):
+            built[0] += 1
+            return real_spectrum(*args)
+
+        def candidate(*args):
             trying.append(1)
             try:
-                return real_try(v, y, ctx)
+                return real_try(*args)
             finally:
                 trying.pop()
 
@@ -290,13 +301,28 @@ class TestFit:
                 regrids.append(1)
             return real_ctx(*args)
 
+        def accepts(v, s, y, ctx, ll, refs):
+            got = real_accepts(v, s, y, ctx, ll, refs)
+            if got is not None and got[2] is not ctx:
+                events.append(("accepted regrid", got[2]))
+            return got
+
         for name, fn in [("_kernel_read", read), ("_evaluate", evaluate),
-                         ("_try_candidate", candidate), ("_grid_context", context)]:
+                         ("_try_candidate", candidate), ("_grid_context", context),
+                         ("_accepts", accepts)]:
             monkeypatch.setattr(mle, name, fn)
+        monkeypatch.setattr(frft_mod, "_spectrum", spectrum)
         fit(spy_sample_600, FitOptions(init=spy_params, tol_grad=1e-6))
-        changes = sum(a != b for a, b in zip(grids, grids[1:]))
-        assert changes > 0 and regrids
-        assert len(reads) == 1 + changes + len(regrids) < len(grids)
+        kinds = [kind for kind, _ in events]
+        iterates = [ctx for kind, ctx in events if kind == "iterate"]
+        changes = sum(a.grid != b.grid for a, b in zip(iterates, iterates[1:]))
+        accepted = [i for i, kind in enumerate(kinds) if kind == "accepted regrid"]
+        assert changes > 0 and regrids and accepted
+        assert kinds.count("read") == 1 + changes + len(regrids) - len(accepted) < len(iterates)
+        # and that iterate's batch takes the trial's spectrum from the workspace
+        for i in accepted:
+            assert events[i + 1] == ("iterate", events[i][1])
+            assert spectra[kinds[: i + 1].count("iterate")] == 0
 
     def test_grid_context_reuses_prev_on_its_grid(self, spy_params, spy_sample_600):
         """prev itself on its own grid, what the workspace holds kept; on
@@ -450,14 +476,16 @@ class TestFit:
         v = p.to_vector()
         s = q.to_vector() - v
         refs = {ctx.grid: ll}
-        got, gain = mle._accepts(v, s, y, ctx, ll, refs)
+        got, gain, used = mle._accepts(v, s, y, ctx, ll, refs)
         np.testing.assert_allclose(got.to_vector(), q.to_vector(), rtol=1e-12)
+        assert used.grid == own.grid
         assert refs[own.grid] == ll
         assert gain == mle._evaluate(got, y, 1, own)[0] - ll
         # with -hess = I and the radius beyond |s|, the subproblem's step is
         # s itself and the first trial is accepted, whole
-        got, size, tau, _ = mle._trust_region_step(p, ll, s, -np.eye(7), 20.0, y, ctx, [])
+        got, used, size, tau, _ = mle._trust_region_step(p, ll, s, -np.eye(7), 20.0, y, ctx, [])
         np.testing.assert_allclose(got.to_vector(), q.to_vector(), rtol=1e-12)
+        assert used.grid == own.grid
         assert size == pytest.approx(np.linalg.norm(s), rel=1e-15)
         assert tau == 0.0
 

@@ -2,6 +2,7 @@
 
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -296,6 +297,31 @@ class TestInvert:
         assert peak < 6e6
 
 
+def percent_17g(values):
+    """Test-only reference: the CSV as "%.17g\\n" formats each draw."""
+    return "sample\n" + "".join("%.17g\n" % v for v in np.asarray(values, dtype=float).tolist())
+
+
+def stress_values():
+    """Random bit patterns (subnormals, inf and nan among them), explicit
+    subnormals, signed zeros and infinities, powers of ten +-1 ulp from
+    1e-5 to 1e17 with the 1e-4 and 1e17 edges, and exact decimal ties
+    (4e15 + j) / 4, j odd, at three scales."""
+    rng = np.random.default_rng(2024)
+    bits = rng.integers(0, 2**64, 30000, dtype=np.uint64, endpoint=False).view(float)
+    sub = np.array([5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, -3e-320])
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-4, -1e-4, 1e17, -1e17,
+                        1e300, -1e300, 0.5, 1.0, 3.0, 10.0, 99999999999999984.0])
+    tens = np.array([float(10**k) for k in range(18)] + [10.0**-k for k in range(1, 6)])
+    tens = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+    j = 2.0 * np.arange(4000) + 1.0
+    ties = (4e15 + j) / 4.0
+    scales = 10.0 ** rng.uniform(-6.0, 18.0, 30000) * rng.choice([-1.0, 1.0], 30000)
+    with np.errstate(over="ignore"):
+        return np.concatenate([bits, sub, special, tens, -tens, ties, ties * 1e-3,
+                               -ties * 1e5, scales])
+
+
 class TestSamplesCsv:
     def test_header_and_round_trip(self, tmp_path, capsys):
         """Three draws, and 8193 that end one row into a second block;
@@ -308,3 +334,59 @@ class TestSamplesCsv:
             assert np.array_equal(np.array(lines[1:], dtype=float), vals)
             _write_samples(sys.stdout, vals)
             assert capsys.readouterr().out.encode() == path.read_bytes()
+
+    @pytest.mark.parametrize("n", [None, sampler._ROWS - 1, sampler._ROWS, sampler._ROWS + 1,
+                                   8191, 8192, 8193])
+    def test_bytes_are_percent_17g(self, n, tmp_path, capsys):
+        """Row for row the bytes of "%.17g\\n", through the file and the
+        stdout path: the stress values whole, and draws of sizes around the
+        writer's block and the inversion's, mixed with values outside the
+        fixed-notation range."""
+        if n is None:
+            vals = stress_values()
+        else:
+            vals = uniforms(n, n) - 0.5
+            vals[::97] = stress_values()[: vals[::97].size]
+        path = tmp_path / "draws.csv"
+        samples_to_csv(vals, path)
+        want = percent_17g(vals)
+        assert path.read_bytes() == want.encode()
+        _write_samples(sys.stdout, vals)
+        assert capsys.readouterr().out == want
+
+    def test_block_of_fallback_rows_only(self, tmp_path):
+        """Blocks whose every draw is outside [1e-4, 1e17) in magnitude,
+        then a block that mixes them with fixed-notation draws."""
+        u = uniforms(9, 3 * sampler._ROWS) - 0.5
+        vals = np.concatenate([u[: 2 * sampler._ROWS] * 1e-6, u[2 * sampler._ROWS :]])
+        vals[: 5] = [0.0, -0.0, np.inf, -np.nan, 1e200]
+        path = tmp_path / "draws.csv"
+        samples_to_csv(vals, path)
+        assert path.read_text() == percent_17g(vals)
+
+    def test_non_finite_and_huge_rows_warn_nothing(self, capsys):
+        """pytest does not make a numpy RuntimeWarning an error, so a cast
+        or log of inf, nan or 1e300 leaking one would otherwise pass."""
+        vals = np.array([np.inf, -np.inf, np.nan, 1e300, -1e300, 0.0, 1.5, 5e-324])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _write_samples(sys.stdout, vals)
+        assert capsys.readouterr().out == percent_17g(vals)
+
+    def test_writer_peak_memory_is_one_block(self):
+        """262144 draws: the writer holds its per-call buffers and one
+        block's strings, about 1 MB. The whole file as one string is 5 MB."""
+
+        class Sink:
+            def write(self, text):
+                pass
+
+        vals = uniforms(3, 262144) - 0.5
+        _write_samples(Sink(), vals[:10])
+        tracemalloc.start()
+        try:
+            _write_samples(Sink(), vals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
