@@ -297,7 +297,11 @@ def auto_grid(p: GtsParams, x_lo: float, x_hi: float) -> GridSpec:
     returned GridSpec. The ladder stops at 1e-10: looser truncation leaves
     enough bias in the far density tail to manufacture spurious likelihood
     ascent toward heavy-tailed parameters. A law whose atom outweighs the
-    loosest rung is a DomainError."""
+    loosest rung, or a bound that is not finite, is a DomainError; a range
+    too wide for any n <= GRID_N_MAX (its width may overflow to inf) is a
+    GridError."""
+    if not (math.isfinite(x_lo) and math.isfinite(x_hi)):
+        raise DomainError(f"auto_grid needs finite bounds, got [{x_lo}, {x_hi}]")
     if not (x_hi > x_lo):
         raise DomainError("auto_grid needs x_hi > x_lo")
     _check_atom(p, TAIL_TOL_LADDER[-1])
@@ -313,7 +317,7 @@ def auto_grid(p: GtsParams, x_lo: float, x_hi: float) -> GridSpec:
             continue
         xi_max = float(spans[decayed[0]])
         n = GRID_N_MIN
-        while n < 4.0 * span * xi_max / math.pi:
+        while n <= GRID_N_MAX and n < 4.0 * span * xi_max / math.pi:
             n *= 2
         if n > GRID_N_MAX:
             continue
@@ -338,9 +342,9 @@ class _Workspace:
     batch carves.
 
     held records what the spectrum row holds after a level-1 batch: the
-    batch's (params, grid, read, deconvolve), kept by reference and compared
-    by identity, and a private copy of its density reads. A level-36 batch
-    of the same four takes both (_field_batch). Mapping a new buffer drops
+    batch's (params, grid, read), kept by reference and compared by
+    identity, and a private copy of its density reads. A level-36 batch of
+    the same three takes both (_field_batch). Mapping a new buffer drops
     held, and so does any batch that rebuilds the spectrum row.
 
     The buffer is a private anonymous memory map of its own, returned to
@@ -377,37 +381,29 @@ def _private_map(nbytes: int) -> mmap.mmap:
 
 
 def _field_batch(
-    p: GtsParams,
-    grid: GridSpec,
-    level: int,
-    read=None,
-    scatter=None,
-    deconvolve=None,
-    work: _Workspace = None,
+    p: GtsParams, grid: GridSpec, level: int, read: _KernelRead = None, work: _Workspace = None
 ):
     """The density row, then (level 8 and 36) the 7 gradient rows, inverted
     by _window from one phased spectrum S_j = Phi(xi_j) e^{-i x_{n-1} xi_j}
     / dx (_spectrum, module docstring). d/dV e^Psi = (dPsi/dV) e^Psi, so a
     gradient row is S times a psi_jet row.
 
-    Rows are inverted a few at a time (_BLOCK_POINTS). read, if given, maps
-    each block of inverted rows on the grid, shape (rows, n), to what is
-    kept of it (the rows read at the data points, say), and the kept blocks
-    are stacked; the batch then never holds its grid rows all at once.
+    Without read the rows are the grid's node values, shape (rows, n).
+    With a kernel read (_KernelRead) S is first multiplied by the read's
+    deconvolve row, 1 / K-hat(xi_j dx), so S below is the deconvolved
+    spectrum; rows are inverted a few at a time (_BLOCK_POINTS), each
+    block is read at the read's points and the read blocks are stacked, so
+    the batch never holds its grid rows all at once. The density must then
+    be positive and finite at every read point, else LikelihoodError, at
+    every level.
 
-    deconvolve, if given, is a real row over the spectrum nodes (the kernel
-    read's 1 / K-hat(xi_j dx)) that multiplies S before any row is built; S
-    below is then the deconvolved spectrum.
-
-    Level 36 is the adjoint read and needs scatter, the transpose of a
-    linear read (a vector at the read points to its (n,) grid vector). It
-    inverts the same 8 rows and returns (the 8 read rows, C), where C[r, s]
-    is the sum over the read points of f_rs / f, f the density row and
-    f_rs = (d2Psi_rs + dPsi_r dPsi_s) S inverted: every curvature is summed
-    by the adjoint of the inversion, with weights B_j = c_j conj(V_j) S_j / N
-    (module docstring). The density must be positive and finite at every
-    read point, else LikelihoodError. scatter at level 1 or 8, or level 36
-    without it, is a DomainError.
+    Level 36 is the adjoint read and needs a read, whose scatter is its
+    transpose (a vector at the read points to its (n,) grid vector); level
+    36 without one is a DomainError. It inverts the same 8 rows and returns
+    (the 8 read rows, C), where C[r, s] is the sum over the read points of
+    f_rs / f, f the density row and f_rs = (d2Psi_rs + dPsi_r dPsi_s) S
+    inverted: every curvature is summed by the adjoint of the inversion,
+    with weights B_j = c_j conj(V_j) S_j / N (module docstring).
 
     The batch's large arrays come from work (a fresh _Workspace if None),
     so the batches of a fit reuse the same pages: the spectrum S and the
@@ -425,15 +421,15 @@ def _field_batch(
     """
     if level not in (1, 8, 36):
         raise DomainError(f"field batch level must be 1, 8 or 36, got {level}")
-    if (level == 36) != (scatter is not None):
-        raise DomainError("a field batch takes scatter at level 36 and only there")
+    if level == 36 and read is None:
+        raise DomainError("a level-36 field batch needs a read to scatter through")
     _check_tail(p, grid)
     h, size = _half_size(grid)
     n_out = _PAD * grid.n
     step = min(7, max(1, _BLOCK_POINTS // n_out))
     work = work or _Workspace()
-    tag = (p, grid, read, deconvolve)
-    read = read or np.copy
+    tag = (p, grid, read)
+    take = read or np.copy
     # every level carves level 36's layout (a level-1 batch touches only its
     # first rows), so the spectrum row a level-1 batch leaves is where
     # level 36 reads it, and level 36 on that grid maps no larger buffer
@@ -451,20 +447,21 @@ def _field_batch(
     else:
         work.held = None
         _spectrum(p, grid, xi, spec, scratch[: 6 * size].reshape(6, size))
-        if deconvolve is not None:
-            spec *= deconvolve
-        kept = [read(_window(block[:1], grid, out[:1]))]
+        if read is not None:
+            spec *= read.deconvolve
+        kept = [take(_window(block[:1], grid, out[:1]))]
+        if read is not None:
+            _check_density(kept[0][0])
     if level == 1:
         work.held = (tag, kept[0].copy())
         return kept[0]
     gp, hp = psi_jet(p, xi, block[1:], scratch[: 3 * size].reshape(3, size))
     if level == 36:
-        _check_density(kept[0][0])
-        curv = _curvature(grid, scatter(1.0 / kept[0][0]), spec, gp, hp, out[0], scratch)
+        curv = _curvature(grid, read.scatter(1.0 / kept[0][0]), spec, gp, hp, out[0], scratch)
     gp *= spec
     for lo in range(1, 8, step):
         rows = block[lo : min(lo + step, 8)]
-        kept.append(read(_window(rows, grid, out[: len(rows)])))
+        kept.append(take(_window(rows, grid, out[: len(rows)])))
     vals = np.concatenate(kept)
     return vals if level == 8 else (vals, curv)
 

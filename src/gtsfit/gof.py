@@ -150,13 +150,16 @@ def _rescale(mat: np.ndarray, expo: int):
     return mat, expo
 
 
-def _check_ks_args(d: float, m: int) -> None:
-    if m < 1 or m != int(m):
+def _check_ks_args(d: float, m) -> int:
+    """m as an int, or DomainError unless m is a whole number in
+    [1, KS_MAX_M] (an integral float included) and d is finite."""
+    if not (m >= 1 and m % 1 == 0):
         raise DomainError(f"sample size must be a positive integer, got {m}")
     if m > KS_MAX_M:
         raise DomainError(f"sample size {m} exceeds the overflow guard {KS_MAX_M}")
     if not math.isfinite(d):
         raise DomainError(f"KS statistic must be finite, got {d}")
+    return int(m)
 
 
 def ks_exact_cdf(d: float, m: int) -> float:
@@ -170,7 +173,7 @@ def ks_exact_cdf(d: float, m: int) -> float:
     only the squarings are matrix products. Where Massart's bound puts the
     survival below 2^-54 the result is 1.0 without the matrix.
     """
-    _check_ks_args(d, m)
+    m = _check_ks_args(d, m)
     if d * m <= 0.5:
         return 0.0
     # Massart's bound P(D_m > d) <= 2 exp(-2 m d^2) below 2^-54, half an ulp
@@ -269,7 +272,7 @@ def ks_pvalue(d: float, m: int) -> float:
     power at the switch and accurate to 1e-14 relative as it decays, and 0
     where the bound is below 2^-54, as in ks_exact_cdf. Elsewhere it is
     1 - ks_exact_cdf(d, m), good to about 1e-12 absolute."""
-    _check_ks_args(d, m)
+    m = _check_ks_args(d, m)
     bound = 2.0 * math.exp(-2.0 * m * d * d)
     if d * m <= 0.5 or bound > _ONE_SIDED_LEVEL:
         return 1.0 - ks_exact_cdf(d, m)
@@ -363,6 +366,7 @@ def ks_null_summary(m: int, alpha: float = 0.05) -> NullSummary:
 
     The critical value solves P(D_m > d) = alpha by _critical_d.
     """
+    m = _check_ks_args(0.0, m)
     if m < 2:
         raise DomainError("null summary needs m >= 2")
     if not (0.0 < alpha < 1.0):
@@ -441,13 +445,15 @@ def derive_sample_size(
     double rounding, 2^-52). The default ceiling is the largest m the exact
     p-value accepts."""
     f = np.asarray(f_emp, dtype=float).ravel()
+    if f.size == 0:
+        raise DataError("the empirical CDF column is empty")
     if floor > ceiling:
         raise DataError(f"sample size floor {floor} exceeds the ceiling {ceiling}")
     half_unit = np.finfo(float).eps if decimals is None else 0.5 * 10.0**-decimals
     # a block of m at a time, one m per row of a (block, f.size) array; the
     # block doubles from 1 up to _SIZE_BLOCK_CELLS cells, so a size at the
     # floor costs what one m does, and a column no m fits takes few passes
-    cap = max(1, _SIZE_BLOCK_CELLS // max(f.size, 1))
+    cap = max(1, _SIZE_BLOCK_CELLS // f.size)
     start, block = max(int(floor), 1), 1
     while start <= ceiling:
         m = np.arange(start, min(start + block, ceiling + 1))

@@ -56,7 +56,6 @@ from .frft import (
     _KernelRead,
     _Workspace,
     _check_atom,
-    _check_density,
     _field_batch,
     _interp_apply,
     _interp_weights,
@@ -180,13 +179,8 @@ def _evaluate(p: GtsParams, y: np.ndarray, level: int, ctx: _GridContext = None)
     inversion, so the Hessian is C - sum (df/f)(df/f)^T."""
     if ctx is None:
         ctx = _grid_context(p, y)
-    grid, read, work = ctx
-    kw = dict(read=read, deconvolve=read.deconvolve, work=work)
-    if level == 36:
-        vals, curv = _field_batch(p, grid, 36, scatter=read.scatter, **kw)
-    else:
-        vals = _field_batch(p, grid, level, **kw)
-        _check_density(vals[0])
+    got = _field_batch(p, ctx.grid, level, read=ctx.read, work=ctx.work)
+    vals, curv = got if level == 36 else (got, None)
     fi = vals[0]
     ll = float(np.sum(np.log(fi)))
     if level == 1:
@@ -239,11 +233,10 @@ def max_eigenvalue(h) -> float:
 _EVAL_ERRORS = (DomainError, GridError, LikelihoodError, FloatingPointError, OverflowError)
 
 
-def _try_candidate(v: np.ndarray, y: np.ndarray, ctx: _GridContext, on_regrid=None):
-    """Log-likelihood of a trial point from a density-only batch, preferring
-    the pinned grid but regridding to the candidate's own wider grid when its
-    tails need one; on_regrid, if given, is called with the new context
-    before the candidate's batch runs on it. Returns (params, ll, context
+def _try_candidate(v: np.ndarray, y: np.ndarray, ctx: _GridContext):
+    """Log-likelihood of a trial point from a density-only batch, on the
+    pinned grid, or on the candidate's own wider grid when its tails need
+    one: the only place a trial changes grid. Returns (params, ll, context
     used) or None if unusable: outside the parameter domain, or not
     evaluable on either grid."""
     try:
@@ -252,8 +245,6 @@ def _try_candidate(v: np.ndarray, y: np.ndarray, ctx: _GridContext, on_regrid=No
             return p, _evaluate(p, y, 1, ctx)[0], ctx
         except GridError:
             own = _grid_context(p, y, ctx)
-            if on_regrid is not None:
-                on_regrid(own)
             return p, _evaluate(p, y, 1, own)[0], own
     except _EVAL_ERRORS:
         return None
@@ -285,14 +276,14 @@ def fit(data, opts: FitOptions = FitOptions()):
     compared likelihoods share every quadrature artifact; only a trial
     point whose tails that grid cannot hold moves to its own wider grid.
     Without the pinning, a trial falling across a frequency-span doubling
-    boundary sees the objective jump by the two grids' read errors: up to
-    5e-10 with the kernel read on 3000-point samples (3.2e-8 with the cubic
-    read on the full grid), which near the optimum is as large as the gains
-    being compared. Such a trial is compared against the iterate re-read
-    on the trial's grid; if that read fails with any evaluation error, the
-    reference falls back to the iterate's log-likelihood on the pinned
-    grid. The accepted iterate is then read in full on the grid auto_grid
-    picks for it, which becomes the pinned grid of its own trials.
+    boundary sees the objective jump by the two grids' read errors: 3.2e-8
+    with the cubic read on the full grid, which near the optimum is as
+    large as the gains being compared. With the kernel read that jump is
+    at most 5e-10 on 3000-point samples, below the 1e-9 slack, so every
+    trial, on whichever grid read it, is judged against the iterate's
+    log-likelihood on the pinned grid. The accepted iterate is then read in
+    full on the grid auto_grid picks for it, which becomes the pinned grid
+    of its own trials.
 
     Samples whose likelihood keeps rising toward beta -> 0 push the iterate
     against the boundary of grids the size budget can build. There trials
@@ -383,50 +374,26 @@ def _trust_step(ev, Q, g, radius):
     return Q @ (c / (b + sigma)), lo + sigma
 
 
-def _accepts(v, s, y, ctx, ll, refs):
-    """Judge the trial point v + s: (params, gain, context that read it) if
-    its log-likelihood is no more than _SLACK below the iterate's, else
-    None. The gain is against the iterate re-read on the grid that read the
-    candidate; refs caches those reads by grid, and holds ll, the iterate's
-    log-likelihood on the pinned grid, which stands in for a re-read that
-    fails. On a candidate's own grid the iterate is re-read first, so the
-    workspace holds the candidate's batch when it returns (_Workspace), and
-    the next iterate's level-36 batch can take it."""
-
-    def reread(own):
-        if own.grid not in refs:
-            try:
-                refs[own.grid] = _evaluate(GtsParams.from_vector(v), y, 1, own)[0]
-            except _EVAL_ERRORS:
-                refs[own.grid] = ll
-
-    got = _try_candidate(v + s, y, ctx, reread)
-    if got is None:
-        return None
-    p, cand_ll, used = got
-    ref = refs[used.grid]
-    if cand_ll < ref - _SLACK:
-        return None
-    return p, cand_ll - ref, used
-
-
 def _trust_region_step(p, ll, sc, hess, radius, y, ctx, rows):
     """One accepted trust-region step from p. -hess is decomposed once;
     each trial solves the subproblem at the current radius and costs one
     density-only batch. The radius follows rho, the actual over the
     predicted gain: doubled when rho > 3/4 on a step that reached it,
     set to a quarter of the step when rho < 1/4 or the trial is rejected.
-    Returns (params, the context that read them, step norm, tau of the
-    subproblem, radius for the next iterate)."""
+    A trial is accepted when its log-likelihood, on whichever grid read it
+    (_try_candidate), is at most _SLACK below ll, the iterate's on the
+    pinned grid, and its gain is the difference from ll. Returns (params,
+    the context that read them, step norm, tau of the subproblem, radius
+    for the next iterate)."""
     v = p.to_vector()
     ev, Q = np.linalg.eigh(-hess)
-    refs = {ctx.grid: ll}
     for _ in range(_TRIALS):
         s, tau = _trust_step(ev, Q, sc, radius)
         size = float(np.linalg.norm(s))
-        got = _accepts(v, s, y, ctx, ll, refs)
-        if got is not None:
-            q, gain, used = got
+        got = _try_candidate(v + s, y, ctx)
+        if got is not None and got[1] >= ll - _SLACK:
+            q, cand_ll, used = got
+            gain = cand_ll - ll
             # both gains carry the likelihood's resolution, so rho tends to 1
             # as they shrink toward it (Conn, Gould & Toint 2000, 17.4.2)
             rho = (gain + _SLACK) / (float(sc @ s + 0.5 * s @ hess @ s) + _SLACK)

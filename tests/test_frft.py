@@ -9,6 +9,9 @@ import importlib
 import itertools
 import math
 import mmap
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -16,6 +19,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+import gtsfit
 from gtsfit.errors import DomainError, GridError, GtsError
 from gtsfit.frft import (
     PHI_TAIL_TOL,
@@ -254,52 +258,47 @@ class TestBatchReadInBlocks:
     """A batch read at query points goes through the rows a block at a time."""
 
     @pytest.fixture
-    def setup(self, spy_params):
-        g = auto_grid(spy_params, -30.0, 30.0)
-        idx, w = _interp_weights(g, np.linspace(-29.0, 29.0, 1000))
-        return g, lambda rows: _interp_apply(rows, idx, w)
+    def grid(self, spy_params):
+        return auto_grid(spy_params, -30.0, 30.0)
 
     @staticmethod
-    def _adjoint(g):
-        """(read, scatter) at 1000 points in the bulk, where the density
-        read is positive, as the adjoint read requires."""
-        read = _kernel_read(g, np.linspace(-3.0, 3.0, 1000))
-        return read, read.scatter
+    def _read(g):
+        """A kernel read at 1000 points in the bulk, where the density read
+        is positive, as a batch with a read requires."""
+        return _kernel_read(g, np.linspace(-3.0, 3.0, 1000))
 
     @pytest.mark.parametrize("level", [1, 8])
-    def test_same_values_as_full_rows(self, spy_params, setup, level):
-        g, read = setup
-        full = _field_batch(spy_params, g, level)
-        assert np.array_equal(_field_batch(spy_params, g, level, read=read), read(full))
+    def test_same_values_as_full_rows(self, spy_params, grid, level):
+        """With its deconvolve row set to ones, a kernel read through the
+        batch's blocks gives the bits of the read applied to the full node
+        rows."""
+        read = self._read(grid)
+        read = read._replace(deconvolve=np.ones_like(read.deconvolve))
+        full = _field_batch(spy_params, grid, level)
+        assert np.array_equal(_field_batch(spy_params, grid, level, read=read), read(full))
 
-    def test_curvature_rows_add_no_peak_memory(self, spy_params, setup):
+    def test_curvature_rows_add_no_peak_memory(self, spy_params, grid):
         """The adjoint read's 28 curvature sums cost less traced peak memory
         than 7 spectrum rows over an 8-row read on the same grid; inverting
         the 28 curvature rows, as spectra or on the grid, would cost more
         than 28."""
-        g, _ = setup
-        read, scatter = self._adjoint(g)
-        row_bytes = _half_nodes(g)[1].size * 16
+        read = self._read(grid)
+        row_bytes = _half_nodes(grid)[1].size * 16
         peaks = {}
-        for level, kw in ((8, {}), (36, {"scatter": scatter})):
+        for level in (8, 36):
             tracemalloc.start()
             try:
-                _field_batch(spy_params, g, level, read=read, **kw)
+                _field_batch(spy_params, grid, level, read=read)
                 peaks[level] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         assert peaks[36] - peaks[8] < 7 * row_bytes
 
-    def test_scatter_only_at_level_36(self, spy_params, setup):
-        """Level 36 is the adjoint read: without scatter it is a
-        DomainError, and so is scatter at level 1 or 8."""
-        g, _ = setup
-        read, scatter = self._adjoint(g)
-        with pytest.raises(DomainError, match="scatter"):
-            _field_batch(spy_params, g, 36, read=read)
-        for level in (1, 8):
-            with pytest.raises(DomainError, match="scatter"):
-                _field_batch(spy_params, g, level, read=read, scatter=scatter)
+    def test_level_36_needs_a_read(self, spy_params, grid):
+        """Level 36 is the adjoint read: without a read to scatter through
+        it is a DomainError."""
+        with pytest.raises(DomainError, match="read"):
+            _field_batch(spy_params, grid, 36)
 
 
 class TestWorkspace:
@@ -309,9 +308,7 @@ class TestWorkspace:
     @staticmethod
     def _batch(p, g, work):
         read = _kernel_read(g, np.linspace(-3.0, 3.0, 500))
-        return _field_batch(
-            p, g, 36, read=read, scatter=read.scatter, deconvolve=read.deconvolve, work=work
-        )
+        return _field_batch(p, g, 36, read=read, work=work)
 
     def test_reuse_across_grids_is_bit_identical(self, spy_params):
         """A level-36 batch on grid A, then on grid B (twice the n, so the
@@ -344,10 +341,7 @@ class TestWorkspace:
 
     @staticmethod
     def _read(p, g, read, work, level=36):
-        kw = dict(read=read, deconvolve=read.deconvolve, work=work)
-        if level == 36:
-            kw["scatter"] = read.scatter
-        return _field_batch(p, g, level, **kw)
+        return _field_batch(p, g, level, read=read, work=work)
 
     def test_level_36_takes_the_level_1_spectrum(self, spy_params, spectra):
         """A level-36 batch right after a level-1 batch of the same params,
@@ -482,6 +476,32 @@ class TestAutoGrid:
     def test_empty_range_rejected(self, spy_params):
         with pytest.raises(DomainError):
             auto_grid(spy_params, 3.0, 3.0)
+
+    @pytest.mark.parametrize(
+        "bounds, error", [("0.0, math.inf", "DomainError"), ("-1e308, 1e308", "GridError")]
+    )
+    def test_unbounded_range_ends(self, bounds, error):
+        """A bound that is not finite is a DomainError, and a range whose
+        width overflows to inf ends in the budget's GridError. Sizing n for
+        an infinite span once doubled it forever, so each call runs in a
+        child process under a timeout."""
+        code = (
+            "import math\n"
+            "from gtsfit.errors import GtsError\n"
+            "from gtsfit.frft import auto_grid\n"
+            "from gtsfit.mle import DEFAULT_INIT\n"
+            "try:\n"
+            f"    auto_grid(DEFAULT_INIT, {bounds})\n"
+            "except GtsError as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        env = dict(os.environ)
+        root = os.path.dirname(os.path.dirname(os.path.abspath(gtsfit.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert done.stdout.split(" ")[0] == error, done.stderr
 
     ATOMS = {
         "beta < 0 on both tails": GtsParams(0.0, -0.5, -0.5, 0.5, 0.5, 1.0, 1.0),

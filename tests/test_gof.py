@@ -359,6 +359,17 @@ class TestOneSidedTail:
         assert above == 2.0 * gof._smirnov_plus(d0 * (1.0 + 1e-12), m)
         assert abs(above - below) <= 2e-12
 
+    @pytest.mark.parametrize("d", [0.02, 0.05])
+    def test_integral_m_of_any_numeric_type(self, d):
+        """m = 3048 as an int, a float, np.int64 or np.float64 gives the
+        same bits, through the Durbin power (d = 0.02) and the one-sided
+        tail (d = 0.05); a fractional m is a DomainError."""
+        want = (ks_exact_cdf(d, 3048), ks_pvalue(d, 3048))
+        for m in (3048.0, np.int64(3048), np.float64(3048.0)):
+            assert (ks_exact_cdf(d, m), ks_pvalue(d, m)) == want
+        with pytest.raises(DomainError, match="positive integer"):
+            ks_pvalue(d, 2.5)
+
     def test_pvalue_edges_of_the_tail(self):
         assert ks_pvalue(1.0, 10) == 0.0
         assert ks_pvalue(1.5, 10) == 0.0
@@ -380,6 +391,17 @@ class TestNullSummary:
         assert ns.mean == pytest.approx(mean, abs=1e-6)
         assert ns.sd == pytest.approx(math.sqrt(var), abs=1e-6)
         assert ns.critical_d == pytest.approx(ref.ppf(0.95), abs=1e-6)
+
+    @pytest.mark.parametrize("m", [40, 3048])
+    def test_integral_m_of_any_numeric_type(self, m):
+        """An integral m of any numeric type gives the int's summary (m = 40
+        takes the knot panels, 3048 the Massart panels); a fractional m is
+        a DomainError."""
+        want = ks_null_summary(m)
+        for same in (float(m), np.int64(m), np.float64(m)):
+            assert ks_null_summary(same) == want
+        with pytest.raises(DomainError, match="positive integer"):
+            ks_null_summary(2.5)
 
     def test_paper_size_bit_identical_past_massart_shortcut(self):
         """The summary's tail cut sits where Massart's bound is 7.6e-11, far
@@ -601,6 +623,10 @@ class TestDeriveSampleSize:
                     derive_sample_size(col, floor=floor, ceiling=ceiling, decimals=decimals)
             else:
                 assert derive_sample_size(col, floor, ceiling, decimals) == want
+
+    def test_empty_column_is_a_data_error(self):
+        with pytest.raises(DataError, match="empty"):
+            derive_sample_size([], floor=1)
 
     def test_default_ceiling_is_ks_max_m(self):
         assert derive_sample_size([1.0], floor=KS_MAX_M) == KS_MAX_M

@@ -66,7 +66,7 @@ class TestEvaluation:
         k = 16 if full.n < 32768 else 8
         fine = replace(full, n=full.n * k, dx=full.dx / k)
         idx, w = _interp_weights(fine, y)
-        ref = _field_batch(p, fine, 8, read=lambda rows: _interp_apply(rows, idx, w))
+        ref = _interp_apply(_field_batch(p, fine, 8), idx, w)
         ll, sc, _ = mle._evaluate(p, y, 8)
         assert abs(ll - float(np.sum(np.log(ref[0])))) <= 2e-10
         assert np.max(np.abs(sc - np.sum(ref[1:] / ref[0], axis=1))) <= 1e-9
@@ -165,25 +165,17 @@ class TestAdjointHessian:
     def test_density_checked_before_reciprocal(self, spy_params, spy_sample_600):
         """A density read <= 0 at a data point is a LikelihoodError, raised
         before 1/f reaches the adjoint sums."""
-        frft_mod = importlib.import_module("gtsfit.frft")
-
-        def no_scatter(u):
-            raise AssertionError("scatter reached with a non-positive density")
-
         ctx = mle._grid_context(spy_params, spy_sample_600)
 
-        def read(rows):
-            return -ctx.read(rows)
+        class Negated(type(ctx.read)):
+            def __call__(self, rows):
+                return -super().__call__(rows)
+
+            def scatter(self, u):
+                raise AssertionError("scatter reached with a non-positive density")
 
         with pytest.raises(LikelihoodError):
-            frft_mod._field_batch(
-                spy_params,
-                ctx.grid,
-                36,
-                read=read,
-                scatter=no_scatter,
-                deconvolve=ctx.read.deconvolve,
-            )
+            _field_batch(spy_params, ctx.grid, 36, read=Negated(*ctx.read))
 
 
 class TestMaxEigenvalue:
@@ -269,7 +261,7 @@ class TestFit:
         frft_mod = importlib.import_module("gtsfit.frft")
         events, regrids, trying, spectra, built = [], [], [], [], [0]
         real_read, real_eval, real_spectrum = mle._kernel_read, mle._evaluate, frft_mod._spectrum
-        real_try, real_ctx, real_accepts = mle._try_candidate, mle._grid_context, mle._accepts
+        real_try, real_ctx, real_step = mle._try_candidate, mle._grid_context, mle._trust_region_step
 
         def read(grid, x, *args):
             events.append(("read", grid))
@@ -301,15 +293,15 @@ class TestFit:
                 regrids.append(1)
             return real_ctx(*args)
 
-        def accepts(v, s, y, ctx, ll, refs):
-            got = real_accepts(v, s, y, ctx, ll, refs)
-            if got is not None and got[2] is not ctx:
-                events.append(("accepted regrid", got[2]))
+        def step(p, ll, sc, hess, radius, y, ctx, rows):
+            got = real_step(p, ll, sc, hess, radius, y, ctx, rows)
+            if got[1] is not ctx:
+                events.append(("accepted regrid", got[1]))
             return got
 
         for name, fn in [("_kernel_read", read), ("_evaluate", evaluate),
                          ("_try_candidate", candidate), ("_grid_context", context),
-                         ("_accepts", accepts)]:
+                         ("_trust_region_step", step)]:
             monkeypatch.setattr(mle, name, fn)
         monkeypatch.setattr(frft_mod, "_spectrum", spectrum)
         fit(spy_sample_600, FitOptions(init=spy_params, tol_grad=1e-6))
@@ -460,11 +452,16 @@ class TestFit:
         v[entry] = value
         assert mle._try_candidate(v, spy_sample_600, ctx) is None
 
-    def test_reference_reread_error_falls_back(self):
-        """The iterate re-read on a candidate's own grid can fail with any
-        evaluation error, here the iterate's atom (mass 1.04e-12) against
-        the candidate's 1e-12 rung; the trust-region trial then compares
-        against ll."""
+    def test_regridded_trial_judged_against_pinned_ll(self):
+        """A trial whose tails the pinned grid cannot hold is read on its own
+        grid, where the iterate itself has no density (its atom, mass
+        1.04e-12, outweighs the 1e-12 rung), and is judged against ll, the
+        iterate's log-likelihood on the pinned grid: accepted whole, with
+        gain its own-grid log-likelihood minus ll. The gain is pinned by the
+        radius rule: with -hess = c I and score c s the step is s itself,
+        inside the radius, and the model predicts c |s|^2 / 2; set to 4 gain
+        (1 +- 1e-6), rho falls just below 1/4 (radius cut to a quarter of
+        the step) or just above it (radius kept)."""
         y = np.linspace(-3, 3, 200)
         p = GtsParams(0, -0.34, -0.44, 12.0, 1.06, 1.77, 1.77)
         q = GtsParams(0, 0.12, -0.44, 1.47, 1.06, 1.77, 1.77)
@@ -472,22 +469,22 @@ class TestFit:
         own = mle._grid_context(q, y)
         assert ctx.grid.tail_tol == 1e-11
         assert own.grid.tail_tol == 1e-12
+        with pytest.raises(DomainError, match="atom"):
+            mle._evaluate(p, y, 1, own)
         ll = mle._evaluate(p, y, 1, ctx)[0]
-        v = p.to_vector()
-        s = q.to_vector() - v
-        refs = {ctx.grid: ll}
-        got, gain, used = mle._accepts(v, s, y, ctx, ll, refs)
-        np.testing.assert_allclose(got.to_vector(), q.to_vector(), rtol=1e-12)
-        assert used.grid == own.grid
-        assert refs[own.grid] == ll
-        assert gain == mle._evaluate(got, y, 1, own)[0] - ll
-        # with -hess = I and the radius beyond |s|, the subproblem's step is
-        # s itself and the first trial is accepted, whole
-        got, used, size, tau, _ = mle._trust_region_step(p, ll, s, -np.eye(7), 20.0, y, ctx, [])
-        np.testing.assert_allclose(got.to_vector(), q.to_vector(), rtol=1e-12)
-        assert used.grid == own.grid
-        assert size == pytest.approx(np.linalg.norm(s), rel=1e-15)
-        assert tau == 0.0
+        gain = mle._evaluate(q, y, 1, own)[0] - ll
+        s = q.to_vector() - p.to_vector()
+        norm = float(np.linalg.norm(s))
+        for margin, cut in ((1e-6, True), (-1e-6, False)):
+            c = 8.0 * gain * (1.0 + margin) / norm**2
+            got, used, size, tau, radius = mle._trust_region_step(
+                p, ll, c * s, -c * np.eye(7), 20.0, y, ctx, []
+            )
+            np.testing.assert_allclose(got.to_vector(), q.to_vector(), rtol=1e-12)
+            assert used.grid == own.grid
+            assert size == pytest.approx(norm, rel=1e-15)
+            assert tau == 0.0
+            assert radius == (0.25 * size if cut else 20.0)
 
     def test_no_acceptable_trial_raises_with_trace(
         self, monkeypatch, spy_params, spy_sample_600
