@@ -297,9 +297,11 @@ def auto_grid(p: GtsParams, x_lo: float, x_hi: float) -> GridSpec:
     returned GridSpec. The ladder stops at 1e-10: looser truncation leaves
     enough bias in the far density tail to manufacture spurious likelihood
     ascent toward heavy-tailed parameters. A law whose atom outweighs the
-    loosest rung, or a bound that is not finite, is a DomainError; a range
-    too wide for any n <= GRID_N_MAX (its width may overflow to inf) is a
-    GridError."""
+    loosest rung, or a bound that is not finite, is a DomainError. A range
+    too wide for any n <= GRID_N_MAX even at the smallest span (its width
+    may overflow to inf) is a GridError that names the range; a law whose
+    |Phi| decays too slowly for the range within the budget is a GridError
+    that says so."""
     if not (math.isfinite(x_lo) and math.isfinite(x_hi)):
         raise DomainError(f"auto_grid needs finite bounds, got [{x_lo}, {x_hi}]")
     if not (x_hi > x_lo):
@@ -308,8 +310,14 @@ def auto_grid(p: GtsParams, x_lo: float, x_hi: float) -> GridSpec:
     width = x_hi - x_lo
     x_center = 0.5 * (x_lo + x_hi)
     span = 0.5 * width + GRID_PAD * width
-    # |Phi| at every candidate frequency span 64, 128, ..., 2^22, in one read
+    # candidate frequency spans 64, 128, ..., 2^22
     spans = np.ldexp(64.0, np.arange(17))
+    if 4.0 * span * spans[0] / math.pi > GRID_N_MAX:
+        raise GridError(
+            f"no admissible grid: the range [{x_lo:g}, {x_hi:g}] is too wide for the size "
+            f"bound n <= {GRID_N_MAX} at any frequency span from {spans[0]:g} up"
+        )
+    # |Phi| at every candidate span, in one read
     tails = np.abs(characteristic_function(p, spans))
     for tol in TAIL_TOL_LADDER:
         decayed = np.flatnonzero(tails <= tol)

@@ -413,8 +413,6 @@ def fit_gbm(data) -> GbmParams:
     """Gaussian baseline: sample mean and method-of-moments sigma
     (denominator m)."""
     y = _as_data(data)
-    if y.size < 2:
-        raise DataError("GBM fit needs at least two observations")
     mu = float(y.mean())
     var = float(np.mean((y - mu) ** 2))
     if var <= 0.0:

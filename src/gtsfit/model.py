@@ -12,9 +12,13 @@ The characteristic exponent is
             + alpha+ Gamma(-beta+) ((lambda+ - i xi)^beta+ - lambda+^beta+)
             + alpha- Gamma(-beta-) ((lambda- + i xi)^beta- - lambda-^beta-)
 
-with the understanding that a side with |beta| < BETA_LIMIT switches to its
-beta -> 0 limit, -alpha (Log(lambda -+ i xi) - log lambda), where the
-Gamma(-beta) pole and the power-difference zero cancel.
+and at beta = 0 a side is its bilateral-gamma limit, -alpha (Log(lambda -+
+i xi) - log lambda), where the Gamma(-beta) pole and the power-difference
+zero cancel. Psi takes that limit only for |beta| < BETA_LIMIT, where it
+equals the closed form to rounding; every other beta, however small, takes
+the closed form. GtsParams.tails gives each side's (alpha, beta, lambda,
+sign), the sign of xi in w = lambda + sign i xi, so the sign convention is
+set in one place.
 
 One routine, _tail_parts, computes the tail terms, in real arithmetic:
 with q = -+ xi / lambda, |lambda -+ i xi|^beta = lambda^beta (1 + q^2)^(beta/2)
@@ -27,8 +31,7 @@ exp and one cos/sin pair per node. cf_modulus takes |Phi| at one node, for
 the grids' tail checks, from the same real parts by scalar math.
 
 The gradient and Hessian of Psi in the parameters are implemented
-analytically, including the series values of the beta-derivatives at the
-limit point. One routine, psi_jet, evaluates both from a single pass over
+analytically. One routine, psi_jet, evaluates both from a single pass over
 each tail (_tail_jet) into one (17, n) complex block: the 7 gradient rows
 and only the 10 Hessian entries that are not identically zero. It too is
 built in real arithmetic, from log w = log lambda + log1p(q^2) / 2 +
@@ -36,15 +39,15 @@ i atan(q), lambda / w = (1 - i q) / (1 + q^2) and (w / lambda)^beta =
 (1 + q^2)^(beta/2) cis(beta atan(q)): one real power and one sin/cos pair
 per tail and node, with no complex log, power or division. It factors each
 tail term into parts regular at beta = 0 and sums them as series near it,
-so the rows keep their accuracy as beta -> 0, where Gamma(-beta) ~ -1/beta
-would otherwise multiply terms that cancel. grad_psi and hess_psi are dense
-views built on it.
+so every beta, 0 included, takes one path and the rows keep their accuracy
+as beta -> 0, where Gamma(-beta) ~ -1/beta would otherwise multiply terms
+that cancel. grad_psi and hess_psi are dense views built on it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -62,8 +65,13 @@ PARAM_NAMES = (
     "lambda_minus",
 )
 
-# width of the beta -> 0 switching window
-BETA_LIMIT = 1e-7
+# |beta| below which a tail of Psi is taken at its beta = 0 limit. The
+# limit's relative error is about |beta| log1p((xi / lambda)^2) / 4, below
+# rounding here for any frequency a grid reaches, while the closed form
+# alpha Gamma(-beta) lambda^beta expm1(...) keeps its accuracy down to
+# |beta| = 1e-305; so the switch guards only Gamma(-beta)'s pole at 0 and
+# its overflow below |beta| of about 5.6e-309
+BETA_LIMIT = 1e-18
 
 # largest |beta P| on a jet's nodes up to which _tail_jet sums B0, B1, B2 as
 # series (20 terms at most); beyond it their closed forms keep each row
@@ -103,6 +111,16 @@ class GtsParams:
     lambda_plus: float
     lambda_minus: float
 
+    @property
+    def tails(self):
+        """(alpha, beta, lambda, sign) of the plus and then the minus tail. A
+        tail's term of Psi is taken at w = lambda + sign i xi: the plus tail,
+        the positive jumps, has sign -1 (w = lambda - i xi)."""
+        return (
+            (self.alpha_plus, self.beta_plus, self.lambda_plus, -1.0),
+            (self.alpha_minus, self.beta_minus, self.lambda_minus, 1.0),
+        )
+
     def __post_init__(self):
         vec = self.to_vector()
         if not np.all(np.isfinite(vec)):
@@ -130,17 +148,7 @@ class GtsParams:
         return cls(*(float(x) for x in v))
 
     def to_vector(self) -> np.ndarray:
-        return np.array(
-            [
-                self.mu,
-                self.beta_plus,
-                self.beta_minus,
-                self.alpha_plus,
-                self.alpha_minus,
-                self.lambda_plus,
-                self.lambda_minus,
-            ]
-        )
+        return np.array([getattr(self, name) for name in PARAM_NAMES])
 
 
 @dataclass(frozen=True)
@@ -170,16 +178,9 @@ def levy_density(p: GtsParams, x):
         raise DomainError("levy_density is undefined at x = 0")
     out = np.empty_like(arr)
     pos = arr > 0.0
-    out[pos] = (
-        p.alpha_plus
-        * np.exp(-p.lambda_plus * arr[pos])
-        / arr[pos] ** (1.0 + p.beta_plus)
-    )
-    neg = ~pos
-    ax = -arr[neg]
-    out[neg] = (
-        p.alpha_minus * np.exp(-p.lambda_minus * ax) / ax ** (1.0 + p.beta_minus)
-    )
+    for (alpha, beta, lam, _), side in zip(p.tails, (pos, ~pos)):
+        ax = np.abs(arr[side])
+        out[side] = alpha * np.exp(-lam * ax) / ax ** (1.0 + beta)
     if np.isscalar(x) or getattr(x, "ndim", 1) == 0:
         return float(out[0])
     return out
@@ -188,10 +189,7 @@ def levy_density(p: GtsParams, x):
 def total_levy_mass(p: GtsParams) -> float:
     """Total jump intensity; math.inf when either active side has beta >= 0."""
     total = 0.0
-    for alpha, beta, lam in (
-        (p.alpha_plus, p.beta_plus, p.lambda_plus),
-        (p.alpha_minus, p.beta_minus, p.lambda_minus),
-    ):
+    for alpha, beta, lam, _ in p.tails:
         if alpha == 0.0:
             continue
         if beta >= 0.0:
@@ -226,10 +224,7 @@ def _tail_parts(p: GtsParams, xi: np.ndarray, re: np.ndarray, im: np.ndarray, wo
     so it keeps its relative accuracy as xi -> 0 where (1 + q^2)^(beta/2) and
     cos(beta theta) both tend to 1."""
     half, m, cos_half, tmp = work
-    for alpha, beta, lam, sign in (
-        (p.alpha_plus, p.beta_plus, p.lambda_plus, -1.0),
-        (p.alpha_minus, p.beta_minus, p.lambda_minus, 1.0),
-    ):
+    for alpha, beta, lam, sign in p.tails:
         if alpha == 0.0:
             continue
         np.divide(xi, sign * lam, out=half)
@@ -328,13 +323,11 @@ def characteristic_function(p: GtsParams, xi):
 def cf_modulus(p: GtsParams, xi: float) -> float:
     """|Phi(xi)| = exp(Re Psi(xi)) at one node. i mu xi and the tails'
     imaginary parts only turn the phase, so this reads the real parts of the
-    two tail terms alone, in _tail_parts' form, by scalar math; the array
-    routine's fixed cost of some 60 ufunc calls is spent on no node."""
+    two tail terms alone, in _tail_parts' form and with its BETA_LIMIT
+    switch, by scalar math; the array routine's fixed cost of some 60 ufunc
+    calls is spent on no node. Neither real part depends on the tail's sign."""
     re = 0.0
-    for alpha, beta, lam in (
-        (p.alpha_plus, p.beta_plus, p.lambda_plus),
-        (p.alpha_minus, p.beta_minus, p.lambda_minus),
-    ):
+    for alpha, beta, lam, _ in p.tails:
         if alpha == 0.0:
             continue
         q = xi / lam
@@ -355,8 +348,8 @@ def _tail_jet(alpha, beta, lam, sign, xi, rows, work):
     beta-lambda, alpha-lambda, lambda-lambda), in real arithmetic through
     the three float rows of work.
 
-    With q = sign xi / lambda (sign -1 on the plus tail, w = lambda - i xi)
-    as in _tail_parts, w = lambda (1 + i q), so
+    With q = sign xi / lambda (GtsParams.tails; w = lambda - i xi on the
+    plus tail) as in _tail_parts, w = lambda (1 + i q), so
 
         P = log(w / lambda) = log1p(q^2) / 2 + i atan(q),
         u = lambda / w = (1 - i q) / (1 + q^2),
@@ -385,22 +378,18 @@ def _tail_jet(alpha, beta, lam, sign, xi, rows, work):
     term cancels. Beyond that reach the closed forms B0 = (z - 1) / beta,
     B1 = (P z - B0) / beta and B2 = (P^2 z - 2 B1) / beta are taken; each
     division by beta cancels about a factor 1 / |x| at the nodes where x is
-    largest, which is why small |beta| takes the series. A side inside the
-    beta -> 0 window is taken at beta = 0 with the exact limits A = 1,
-    m = gamma + log lambda and s = pi^2 / 6: x = 0, z = 1 and the rows are
-    the series values at the limit point, as Psi itself switches there.
+    largest, which is why small |beta| takes the series. A, m and s are
+    regular at beta = 0, so every beta, 0 included, takes this one path: at
+    beta = 0, x = 0, z = 1 and the series give B0 = P, B1 = P^2 / 2 and
+    B2 = P^3 / 3.
 
     P, u and z are built in rows that are written last. A tail with
     alpha = 0 gets zero rows except a, ab and al."""
     b, a, l, bb, ab, bl, al, ll = rows
     q, t, e = work
-    ln_lam = math.log(lam)
-    if abs(beta) < BETA_LIMIT:
-        beta, big_a, m, s = 0.0, 1.0, np.euler_gamma + ln_lam, math.pi**2 / 6.0
-    else:
-        big_a = gamma_real(1.0 - beta) * lam**beta
-        m = ln_lam - digamma(1.0 - beta)
-        s = trigamma(1.0 - beta)
+    big_a = gamma_real(1.0 - beta) * lam**beta
+    m = math.log(lam) - digamma(1.0 - beta)
+    s = trigamma(1.0 - beta)
     np.divide(xi, sign * lam, out=q)
     np.multiply(q, q, out=t)
     np.log1p(t, out=e)
@@ -505,11 +494,7 @@ def psi_jet(p: GtsParams, xi, out=None, work=None):
         work = np.empty((3, arr.size))
     out[0].real = 0.0
     out[0].imag = arr
-    tails = (
-        (p.alpha_plus, p.beta_plus, p.lambda_plus, -1.0),
-        (p.alpha_minus, p.beta_minus, p.lambda_minus, 1.0),
-    )
-    for side, (alpha, beta, lam, sign) in enumerate(tails):
+    for side, (alpha, beta, lam, sign) in enumerate(p.tails):
         rows = (out[1 + side], out[3 + side], out[5 + side], *out[7 + 5 * side : 12 + 5 * side])
         _tail_jet(alpha, beta, lam, sign, arr, rows, work)
     return out[:7], dict(zip(_JET_PAIRS, out[7:]))
@@ -542,11 +527,8 @@ def cumulant(p: GtsParams, k: int) -> float:
     if k < 1:
         raise DomainError("cumulant order must be >= 1")
     try:
-        plus = p.alpha_plus * gamma_real(k - p.beta_plus) / p.lambda_plus ** (
-            k - p.beta_plus
-        )
-        minus = p.alpha_minus * gamma_real(k - p.beta_minus) / p.lambda_minus ** (
-            k - p.beta_minus
+        plus, minus = (
+            alpha * gamma_real(k - beta) / lam ** (k - beta) for alpha, beta, lam, _ in p.tails
         )
         value = p.mu + plus - minus if k == 1 else plus + (-1.0) ** k * minus
     except (ZeroDivisionError, OverflowError):
@@ -571,12 +553,4 @@ def scale_time(p: GtsParams, t: float) -> GtsParams:
     """Law of the running sum at horizon t: mu and alpha scale, the rest fixed."""
     if not (t > 0.0 and math.isfinite(t)):
         raise DomainError("time scale must be positive and finite")
-    return GtsParams(
-        t * p.mu,
-        p.beta_plus,
-        p.beta_minus,
-        t * p.alpha_plus,
-        t * p.alpha_minus,
-        p.lambda_plus,
-        p.lambda_minus,
-    )
+    return replace(p, mu=t * p.mu, alpha_plus=t * p.alpha_plus, alpha_minus=t * p.alpha_minus)

@@ -1,31 +1,78 @@
 """Shared fixtures: packaged parameter sets and synthetic samples."""
 
+import functools
 import json
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 import gtsfit
 from gtsfit.cli import params_from_json
 from gtsfit.frft import _half_nodes, _spectrum, _window
-from gtsfit.model import BETA_LIMIT, GtsParams, grad_psi, hess_psi
+from gtsfit.model import GtsParams, grad_psi, hess_psi
 from gtsfit.sampler import SampleConfig, sample_gts
 from gtsfit.special import gamma_real
 
 FIXTURES = Path(gtsfit.__file__).parent / "fixtures"
 
 
+# |beta| below which _side_oracle takes a tail's term from mpmath: there
+# w^beta - lambda^beta cancels to about beta log(w / lambda), and the complex
+# powers lose about 1 / |beta log(w / lambda)| ulps of the term, even in long
+# double
+_NEAR_ZERO_BETA = 1e-7
+
+
+def _side_mp(alpha, beta, lam, w):
+    """One tail's term of Psi at the complex nodes w = lambda -+ i xi (floats
+    in any precision) in 40-digit mpmath, rounded once to complex: -alpha
+    Gamma(1 - beta) lambda^beta expm1(beta P) / beta with P = log(w /
+    lambda), and its limit -alpha P at beta = 0. Every constant is mpmath's
+    own, so nothing cancels in float."""
+    return alpha * _unit_side_mp(float(beta), float(lam), tuple(complex(z) for z in w))
+
+
+@functools.lru_cache(maxsize=64)
+def _unit_side_mp(beta, lam, w):
+    """_side_mp at alpha = 1, kept per (beta, lambda, nodes): the term is
+    linear in alpha, and a lattice of laws repeats each tail."""
+    with mpmath.workdps(40):
+        b, lm = mpmath.mpf(beta), mpmath.mpf(lam)
+        scale = -1 if b == 0 else -mpmath.gamma(1 - b) * lm**b / b
+        out = []
+        for z in w:
+            P = mpmath.log(mpmath.mpc(z.real, z.imag) / lm)
+            out.append(complex(scale * (P if b == 0 else mpmath.expm1(b * P))))
+    return np.array(out)
+
+
+def _psi_mp(p, xi):
+    """Psi(xi) at the float nodes xi from 40-digit mpmath tails (_side_mp)."""
+    xi = np.asarray(xi, dtype=float)
+    out = 1j * p.mu * xi
+    for alpha, beta, lam, sign in p.tails:
+        out = out + _side_mp(alpha, beta, lam, lam + sign * 1j * xi)
+    return out
+
+
+@pytest.fixture(scope="session")
+def psi_mp():
+    return _psi_mp
+
+
 def _side_oracle(alpha, beta, lam, w):
     """One tail's term of Psi by complex powers and logs, w = lambda -+ i xi,
     in the precision of w. Gamma(-beta) is the package's own scalar (checked
     in test_special.py): the oracle checks the complex-plane arithmetic of
-    the tail terms, not that constant."""
-    lam = w.real.dtype.type(lam)
+    the tail terms, not that constant. For |beta| < _NEAR_ZERO_BETA, where
+    the powers cancel, the term is _side_mp's, 40-digit mpmath throughout."""
     if alpha == 0.0:
         return np.zeros_like(w)
-    if abs(beta) < BETA_LIMIT:
-        return -alpha * (np.log(w) - np.log(lam))
+    if abs(beta) < _NEAR_ZERO_BETA:
+        return _side_mp(alpha, beta, lam, w).astype(w.dtype)
+    lam = w.real.dtype.type(lam)
     return alpha * gamma_real(-beta) * (w**beta - lam**beta)
 
 

@@ -42,6 +42,7 @@ from gtsfit.frft import (
     frft,
     interpolate,
 )
+from gtsfit.mle import DEFAULT_INIT
 from gtsfit.model import (
     GtsParams,
     cf_modulus,
@@ -502,6 +503,18 @@ class TestAutoGrid:
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
         )
         assert done.stdout.split(" ")[0] == error, done.stderr
+
+    @pytest.mark.parametrize("bounds", [(-1e5, 1e5), (-1e200, 1e200)])
+    def test_too_wide_range_is_named(self, bounds):
+        """A range that no n <= GRID_N_MAX holds at the smallest span, 64, is
+        a GridError that names the range, though this law's |Phi(256)| is
+        1.2e-16; a law that decays too slowly for a narrow range says that."""
+        with pytest.raises(GridError, match=r"the range \[.*\] is too wide") as wide:
+            auto_grid(DEFAULT_INIT, *bounds)
+        assert "decays too slowly" not in str(wide.value)
+        with pytest.raises(GridError, match="decays too slowly") as slow:
+            auto_grid(GtsParams(0.0, -0.5, -0.5, 6.5, 6.5, 1.0, 1.0), -10.0, 10.0)
+        assert "too wide" not in str(slow.value)
 
     ATOMS = {
         "beta < 0 on both tails": GtsParams(0.0, -0.5, -0.5, 0.5, 0.5, 1.0, 1.0),

@@ -85,6 +85,20 @@ class TestEvaluation:
             ) / (2 * h)
             assert sc[k] == pytest.approx(fd, rel=1e-4, abs=1e-5)
 
+    def test_likelihood_moves_with_score_through_beta_zero(self, spy_params, spy_sample_3000):
+        """Stepping beta- down to 0 through 1e-7, where Psi once switched to
+        its beta -> 0 limit, the log-likelihood moves by the score times the
+        step, the score averaged over the step's ends, to within 1e-11: its
+        rounding at about -3986 is a few 1e-13, the smallest step's predicted
+        move is -1.9e-10 and the switch's jump was 1.9e-5."""
+        betas = [1.0001e-7, 0.9999e-7, 5e-8, 1e-12, 0.0]
+        laws = [replace(spy_params, beta_minus=b) for b in betas]
+        lls = [log_likelihood(p, spy_sample_3000) for p in laws]
+        slopes = [score(p, spy_sample_3000)[2] for p in laws]
+        for k in range(len(betas) - 1):
+            predicted = 0.5 * (slopes[k] + slopes[k + 1]) * (betas[k + 1] - betas[k])
+            assert abs((lls[k + 1] - lls[k]) - predicted) <= 1e-11, (betas[k], predicted)
+
     def test_hessian_matches_score_differences(self, spy_params, spy_sample_600):
         h = hessian(spy_params, spy_sample_600)
         assert np.allclose(h, h.T)

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from gtsfit.errors import DomainError
 from gtsfit.special import digamma, gamma_real, trigamma
 from gtsfit.model import (
-    BETA_LIMIT,
     GbmParams,
     GtsParams,
     atom_mass,
@@ -146,21 +145,35 @@ class TestExponent:
         for x, v in zip(xi, vec):
             assert v == pytest.approx(characteristic_exponent(spy_params, float(x)), rel=1e-14)
 
-    def test_beta_branch_continuity(self):
-        """The log branch used inside |beta| < 1e-7 meets the generic branch.
-
-        Inside the threshold the exponent evaluates the beta -> 0 limit, so
-        the generic branch just outside must sit one beta sensitivity away.
-        """
+    def test_beta_branch_continuity(self, psi_mp):
+        """Psi takes one closed form on both sides of |beta| = 1e-7, where a
+        switch to the beta -> 0 limit once sat: at beta+ = 5e-8 and 2e-7,
+        and so across them, it lands within 1e-15 of its size on 40-digit
+        mpmath."""
         base = dict(mu=0.1, beta_minus=0.3, alpha_plus=0.8, alpha_minus=0.6,
                     lambda_plus=1.5, lambda_minus=1.1)
-        inside = GtsParams(beta_plus=5e-8, **base)
-        outside = GtsParams(beta_plus=2e-7, **base)
-        for xi in (0.4, 3.0, 21.0):
-            a = characteristic_exponent(inside, xi)
-            b = characteristic_exponent(outside, xi)
-            predicted = grad_psi(outside, xi)[1] * outside.beta_plus
-            assert abs((b - a) - predicted) < 0.05 * abs(predicted) + 1e-12
+        xi = np.array([0.4, 3.0, 21.0])
+        for beta in (5e-8, 2e-7):
+            p = GtsParams(beta_plus=beta, **base)
+            want = psi_mp(p, xi)
+            got = characteristic_exponent(p, xi)
+            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), (beta, got - want)
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-20, -1e-20, 1e-12, 1e-8, -1e-8, 5e-8, -5e-8,
+                                      -9.9e-8, 2e-7, -2e-7])
+    @pytest.mark.parametrize("lam", [0.05, 1.2407793, 20.0])
+    def test_near_zero_beta_matches_mpmath(self, psi_mp, beta, lam):
+        """Psi and Phi near beta = 0 against 40-digit mpmath, on both tails,
+        for xi from 1e-3 to 1e4: Psi within 1e-15 of the row's largest
+        entry and Phi within 1e-15 of 1, its value at xi = 0. A tail with
+        |beta| below BETA_LIMIT takes its beta = 0 limit, which is exact to
+        rounding there; every other beta takes the closed form."""
+        xi = np.concatenate(([0.0], np.geomspace(1e-3, 1e4, 200)))
+        p = GtsParams(0.1, beta, beta, 0.6, 0.8, lam, lam)
+        want = psi_mp(p, xi)
+        err = np.max(np.abs(characteristic_exponent(p, xi) - want)) / np.max(np.abs(want))
+        assert err <= 1e-15
+        assert np.max(np.abs(characteristic_function(p, xi) - np.exp(want))) <= 1e-15
 
     def test_vg_reduction(self):
         """beta -> 0 on both tails with equal alphas is the variance-gamma law."""
@@ -306,76 +319,56 @@ HESS_REFERENCE = {
 _C2 = 0.5 * np.euler_gamma**2 + math.pi**2 / 12.0
 
 
-def _side_derivs(alpha, beta, lam, w):
+def _side_derivs_at_zero(alpha, lam, w):
     """Test oracle: first and second partials of one tail term in (alpha,
-    beta, lambda) at the complex nodes w = lambda -+ i xi, from the complex
-    log L = log w and w^beta = exp(beta L), w^(beta-1) = w^beta / w. This is
-    the form psi_jet took before it moved to real arithmetic.
+    beta, lambda) at beta = 0 and the complex nodes w = lambda -+ i xi, from
+    the complex log L = log w. With D_k = L^k - log^k(lambda), the series
+    Gamma(-beta)(w^beta - lam^beta) = -D1 - beta(g D1 + D2/2) - ... gives
+    the beta-derivatives at the limit point.
 
     Keys: a, b, l (first order) and ab, al, bb, bl, ll. The mu row and the
     cross-tail blocks of the Hessian are identically zero.
     """
     L = np.log(w)
     ln_lam = math.log(lam)
-    if abs(beta) < BETA_LIMIT:
-        # series values at the limit point beta = 0: with D_k = L^k - log^k(lambda),
-        # Gamma(-beta)(w^beta - lam^beta) = -D1 - beta(g D1 + D2/2) - ...
-        d1 = L - ln_lam
-        d2 = L * L - ln_lam**2
-        d3 = L * L * L - ln_lam**3
-        g0 = -d1
-        g1 = -(np.euler_gamma * d1 + 0.5 * d2)
-        g2 = -(2.0 * _C2 * d1 + np.euler_gamma * d2 + d3 / 3.0)
-        iw = 1.0 / w
-        il = 1.0 / lam
-        e0 = il - iw
-        return {
-            "a": g0,
-            "b": alpha * g1,
-            "l": alpha * e0,
-            "ab": g1,
-            "al": e0,
-            "bb": alpha * g2,
-            "bl": -alpha * (np.euler_gamma * (iw - il) + L * iw - ln_lam * il),
-            "ll": alpha * (iw * iw - il * il),
-        }
-    g = gamma_real(-beta)
-    p0 = digamma(-beta)
-    p1 = trigamma(-beta)
-    # w^beta from the log already taken, then one division per lower power
-    wb = np.exp(beta * L)
-    wb1 = wb / w
-    lb = lam**beta
-    lb1 = lam ** (beta - 1.0)
-    d0 = wb - lb
-    d1 = wb * L - lb * ln_lam
-    d2 = wb * L * L - lb * ln_lam**2
-    e0 = wb1 - lb1
-    e1 = wb1 * L - lb1 * ln_lam
+    d1 = L - ln_lam
+    d2 = L * L - ln_lam**2
+    d3 = L * L * L - ln_lam**3
+    g1 = -(np.euler_gamma * d1 + 0.5 * d2)
+    iw = 1.0 / w
+    il = 1.0 / lam
+    e0 = il - iw
     return {
-        "a": g * d0,
-        "b": alpha * g * (d1 - p0 * d0),
-        "l": alpha * g * beta * e0,
-        "ab": g * (d1 - p0 * d0),
-        "al": g * beta * e0,
-        "bb": alpha * g * ((p0 * p0 + p1) * d0 - 2.0 * p0 * d1 + d2),
-        "bl": alpha * g * ((1.0 - beta * p0) * e0 + beta * e1),
-        "ll": alpha * g * beta * (beta - 1.0) * (wb1 / w - lam ** (beta - 2.0)),
+        "a": -d1,
+        "b": alpha * g1,
+        "l": alpha * e0,
+        "ab": g1,
+        "al": e0,
+        "bb": -alpha * (2.0 * _C2 * d1 + np.euler_gamma * d2 + d3 / 3.0),
+        "bl": -alpha * (np.euler_gamma * (iw - il) + L * iw - ln_lam * il),
+        "ll": alpha * (iw * iw - il * il),
     }
 
 
 def _side_derivs_mp(alpha, beta, lam, sign, xi):
-    """The rows of _side_derivs at w = lambda + sign i xi off the beta -> 0
-    window, evaluated in 40-digit mpmath with each complex power of w taken
-    on its own, as w^beta, w^(beta - 1) and w^(beta - 2), and rounded once.
+    """The 8 rows of one tail at w = lambda + sign i xi, beta != 0, keyed as
+    _side_derivs_at_zero keys them, evaluated in mpmath from L = log w,
+    w^beta = exp(beta L), w^(beta - 1) = w^beta / w and w^(beta - 2) =
+    w^(beta - 1) / w, each row rounded once: the complex-log form psi_jet
+    took before it moved to real arithmetic, with none of the float
+    rounding that psi_jet's fused powers lambda^beta z, z u and z u^2 carry.
 
     Gamma(-beta), digamma(-beta) and trigamma(-beta) are formed exactly from
     the package's float values at 1 - beta, which psi_jet takes:
     Gamma(-beta) = -Gamma(1 - beta) / beta, digamma(-beta) =
     digamma(1 - beta) + 1 / beta and trigamma(-beta) = trigamma(1 - beta) +
     1 / beta^2. So the oracle measures the arithmetic of the jet, not those
-    special functions (checked in test_special.py)."""
-    with mpmath.workdps(40):
+    special functions (checked in test_special.py). The terms of the bb row
+    cancel by about beta^2, so the working precision is 40 digits plus two
+    per decade of |beta| below 1: at 40 digits alone that row reads 1e-13
+    off at beta = 1e-10 and is all rounding at beta = -1e-15."""
+    dps = 40 + max(0, round(-2.0 * math.log10(abs(beta))))
+    with mpmath.workdps(dps):
         a, b, lm = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(lam)
         g = -mpmath.mpf(gamma_real(1.0 - beta)) / b
         p0 = mpmath.mpf(digamma(1.0 - beta)) + 1 / b
@@ -386,7 +379,9 @@ def _side_derivs_mp(alpha, beta, lam, sign, xi):
         for x in xi:
             w = mpmath.mpc(lm, sign * mpmath.mpf(x))
             L = mpmath.log(w)
-            wb, wb1, wb2 = w**b, w ** (b - 1), w ** (b - 2)
+            wb = mpmath.exp(b * L)
+            wb1 = wb / w
+            wb2 = wb1 / w
             d0, d1 = wb - lb, wb * L - lb * ln_lam
             d2 = wb * L * L - lb * ln_lam**2
             e0, e1 = wb1 - lb1, wb1 * L - lb1 * ln_lam
@@ -420,17 +415,14 @@ _TAIL_ROWS = {
 
 
 def _jet_tail(p, xi, side):
-    """One tail's 8 rows of psi_jet, keyed as _side_derivs keys them."""
+    """One tail's 8 rows of psi_jet, keyed as the oracles key them."""
     grad, hess = psi_jet(p, xi)
     return {k: grad[i] if isinstance(i, int) else hess[i] for k, i in _TAIL_ROWS[side].items()}
 
 
 def _tails(p):
     """(side, alpha, beta, lambda, sign) for the plus and minus tails."""
-    return (
-        (0, p.alpha_plus, p.beta_plus, p.lambda_plus, -1.0),
-        (1, p.alpha_minus, p.beta_minus, p.lambda_minus, 1.0),
-    )
+    return tuple((side, *tail) for side, tail in enumerate(p.tails))
 
 
 def _row_errors(got, want):
@@ -452,21 +444,35 @@ def _jet_errors(p, xi, sides=(0, 1), keys=None):
 
 class TestJetAgainstOracles:
     """psi_jet, built in real arithmetic, against the test-only oracles: the
-    40-digit jet _side_derivs_mp off the beta -> 0 window, and the
-    complex-log jet _side_derivs, whose series values are exact enough, in
-    it."""
+    mpmath jet _side_derivs_mp at beta != 0, and at beta = 0 the complex-log
+    jet _side_derivs_at_zero, whose series values are exact enough there."""
 
     XI = np.concatenate(([0.0], np.geomspace(1e-3, 1e4, 200)))
 
-    @pytest.mark.parametrize("beta", [0.0, 5e-8, -5e-8, -9.9e-8])
+    @pytest.mark.parametrize(
+        "beta", [0.0, 5e-8, -5e-8, -9.9e-8, 1e-20, -1e-20, 1e-12, 1e-8, -1e-8, 2e-7, -2e-7]
+    )
     @pytest.mark.parametrize("lam", [0.05, 1.2407793, 20.0])
     def test_limit_window_matches_complex_log(self, beta, lam):
-        xi = np.concatenate(([0.0], np.geomspace(1e-3, 1e4, 4000)))
+        """Near beta = 0 every beta takes _tail_jet's one path, with no
+        switch to the beta = 0 limit: each row lands within 1e-15 of its
+        largest entry on the oracle, on both tails, at beta = 0, in the
+        |beta| < 1e-7 window a switch once used and just outside it. The
+        mpmath oracle costs about 0.25 ms a node, so it reads the class's
+        201 nodes; the complex-log oracle at beta = 0 reads 4001."""
         p = GtsParams(0.1, beta, beta, 0.6, 0.8, lam, lam)
-        for side, alpha, b, lm, sign in _tails(p):
-            want = _side_derivs(alpha, b, lm, lm + sign * 1j * xi)
-            errors = _row_errors(_jet_tail(p, xi, side), want)
-            assert max(errors.values()) <= 1e-15, errors
+        if beta == 0.0:
+            xi = np.concatenate(([0.0], np.geomspace(1e-3, 1e4, 4000)))
+            errors = {
+                side: _row_errors(
+                    _jet_tail(p, xi, side), _side_derivs_at_zero(alpha, lm, lm + sign * 1j * xi)
+                )
+                for side, alpha, _, lm, sign in _tails(p)
+            }
+        else:
+            errors = _jet_errors(p, self.XI)
+        for side, e in errors.items():
+            assert max(e.values()) <= 1e-15, (side, e)
 
     @pytest.mark.parametrize("beta", [0.5, -0.3, 0.0])
     def test_zero_alpha_tail_keeps_alpha_rows(self, beta):
@@ -481,7 +487,7 @@ class TestJetAgainstOracles:
         for k in ("b", "l", "bb", "bl", "ll"):
             assert np.all(rows[k] == 0.0)
         if beta == 0.0:
-            want = _side_derivs(0.0, beta, 1.3, 1.3 - 1j * self.XI)
+            want = _side_derivs_at_zero(0.0, 1.3, 1.3 - 1j * self.XI)
             errors = _row_errors(rows, {k: want[k] for k in alpha_rows})
         else:
             errors = _jet_errors(p, self.XI, sides=(0,), keys=alpha_rows)[0]
