@@ -6,16 +6,21 @@ d xi of a Hermitian spectrum G (G(-xi) = conj G(xi)): the characteristic
 function Phi for the density, Phi times a Psi-derivative polynomial for the
 parameter gradients (and the curvatures summed below), and Phi/(i xi) for
 the CDF. It is evaluated on the x nodes x_k = x_center + (k - n/2) dx by the
-trapezoid rule at the frequency spacing h = 2 pi / (N dx), N = 4n. With that
+trapezoid rule at the frequency spacing h = 2 pi / (N dx), N = 3n. With that
 spacing the sum over xi_j = j h is an N-point DFT (the fractional Fourier
 transform at a = 1/N; Bailey & Swarztrauber, SIAM Rev. 33, 1991), and
-Hermitian symmetry lets one real inverse FFT (numpy irfft) per row read only
-the nodes xi_j >= 0. Nodes above the grid's certified truncation point
-xi_max are zero. The quadrature aliases the field with period N dx, four x
-windows; n of the N outputs are the window. A 2n-point variant (period two
-windows, spectrum filled up to pi/dx) lets a heavy left tail alias onto the
-right end of the window: 6.4e-10 relative in the density at the data points
-of a spy fit, 1.6e-9 in its log-likelihood.
+Hermitian symmetry lets one real inverse FFT (numpy irfft; pocketfft takes
+the lengths 3 * 2^k directly) per row read only the nodes xi_j >= 0. Nodes
+above the grid's certified truncation point xi_max are zero. The quadrature
+aliases the field with period N dx, three x windows; n of the N outputs are
+the window. Read at the sample points of seven fit endpoints against a
+period of 16n, the density moves by at most 7.4e-11 relative and the
+log-likelihood by at most 1.0e-10 (N = 4n: 3.4e-11 and 4.6e-11), at the
+kernel read's own error (below). A 2n-point variant (period two windows,
+spectrum filled up to pi/dx) lets a heavy left tail alias onto the right
+end of the window: 6.4e-10 relative in the density at the data points of a
+spy fit and 1.6e-9 in its log-likelihood, 1.8e-8 and 5.5e-8 on a BTC-law
+fit.
 
 Every row is built on one phased spectrum per batch,
 
@@ -115,13 +120,14 @@ PHI_TAIL_TOL = 1e-12
 _FIELD_KINDS = ("density", "cdf")
 
 # the field path's real FFT has _PAD * n points (module docstring)
-_PAD = 4
+_PAD = 3
 
-# irfft output points per block of gradient rows (256 KB): two rows at
-# n = 4096, one from n = 8192 on. The block is part of a fit's workspace
-# (_Workspace) and stays resident for the whole fit; 2 MB blocks (all 7 rows
-# at n = 4096) put the spy fit's peak resident set 0.3 MB above that of
-# the per-batch buffers the workspace replaced
+# irfft output points per block of gradient rows (at most 256 KB): two
+# rows of 3n points at n = 4096, one from n = 8192 on. The block is part of
+# a fit's workspace (_Workspace) and stays resident for the whole fit; 2 MB
+# blocks (all 7 rows at n = 4096, on a 4n period) put the spy fit's peak
+# resident set 0.3 MB above that of the per-batch buffers the workspace
+# replaced
 _BLOCK_POINTS = 1 << 15
 
 # the kernel read: the exponential-of-semicircle kernel (module docstring)
@@ -143,9 +149,9 @@ class GridSpec:
     and the frequency truncation point xi_max. tail_tol is the truncation
     level this grid is certified for: field construction rejects any
     characteristic function still larger than that at xi_max. The fields
-    sample the spectrum at spacing 2 pi / (4 n dx) up to xi_max (module
+    sample the spectrum at spacing 2 pi / (3 n dx) up to xi_max (module
     docstring), so xi_max may not exceed pi / dx, where that spacing's real
-    FFT ends."""
+    FFT of 3n points ends."""
 
     n: int
     x_center: float

@@ -152,7 +152,7 @@ class _GridContext(NamedTuple):
 def _grid_context(p: GtsParams, y: np.ndarray, prev: _GridContext = None) -> _GridContext:
     """The likelihood grid of p for the sample y: auto_grid's grid with n
     halved and dx doubled. The x range, xi_max, tail_tol, the spectrum
-    nodes xi_j = 2 pi j / (4 n dx) and the alias period 4 n dx stay those of
+    nodes xi_j = 2 pi j / (3 n dx) and the alias period 3 n dx stay those of
     auto_grid's grid, and xi_max dx stays <= pi; the kernel read is accurate
     there on the coarser grid (module docstring).
 

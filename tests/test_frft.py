@@ -26,6 +26,7 @@ from gtsfit.frft import (
     TAIL_TOL_LADDER,
     Field,
     GridSpec,
+    _PAD,
     _Workspace,
     _check_tail,
     _field_batch,
@@ -42,7 +43,7 @@ from gtsfit.frft import (
     frft,
     interpolate,
 )
-from gtsfit.mle import DEFAULT_INIT
+from gtsfit.mle import DEFAULT_INIT, FitOptions, fit, log_likelihood
 from gtsfit.model import (
     GtsParams,
     cf_modulus,
@@ -51,6 +52,7 @@ from gtsfit.model import (
     grad_psi,
     hess_psi,
 )
+from gtsfit.sampler import SampleConfig, sample_gts
 
 DENSITY_QUAD = {
     -2.5: 0.019900236877575264,
@@ -130,8 +132,9 @@ class TestGridSpec:
             Field(g, np.zeros(64), "histogram")
 
     def test_frequency_range_beyond_nyquist_rejected(self):
-        """A real FFT at spacing 2 pi / (4 n dx) ends at pi / dx; a grid
-        truncated above that would lose its top nodes without notice."""
+        """A real FFT of 3n points at spacing 2 pi / (3 n dx) ends at
+        pi / dx; a grid truncated above that would lose its top nodes
+        without notice."""
         with pytest.raises(GtsError, match="exceeds pi / dx"):
             GridSpec(n=64, x_center=0.0, dx=0.1, xi_max=32.0)
         GridSpec(n=64, x_center=0.0, dx=0.1, xi_max=31.36)
@@ -144,8 +147,9 @@ class TestGridSpec:
 
 def _half_sum(grid, spectra):
     """(h / 2 pi) (S_0 + 2 Re sum_{j>=1} S_j e^{-i x_k xi_j}) by a direct
-    matrix product, h = 2 pi / (4 n dx), nodes up to xi_max."""
-    h = 2.0 * math.pi / (4 * grid.n * grid.dx)
+    matrix product, h = 2 pi / (N dx) for the field path's period N dx,
+    N = _PAD n, nodes up to xi_max."""
+    h = 2.0 * math.pi / (_PAD * grid.n * grid.dx)
     xi = h * np.arange(spectra.shape[-1])
     kernel = np.exp(-1j * np.outer(xi, grid.x_nodes()))
     weights = np.full(xi.size, 2.0)
@@ -161,7 +165,7 @@ class TestInversionAgainstDirectSum:
 
     def _spectra(self, p, cf):
         g = self.GRID
-        h = 2.0 * math.pi / (4 * g.n * g.dx)
+        h = 2.0 * math.pi / (_PAD * g.n * g.dx)
         xi = h * np.arange(int(g.xi_max / h) + 1)
         phi = cf(p, xi)
         gp = grad_psi(p, xi)
@@ -195,6 +199,44 @@ class TestInversionAgainstDirectSum:
         )
         want = np.maximum.accumulate(raw)
         assert np.max(np.abs(cdf_field(spy_params, g).values - want)) <= 1e-12
+
+
+class TestAliasPeriod:
+    """The field path's period N dx, N = _PAD n, against a period of 16n,
+    at the fit endpoint of the spy-law 3046-point seed-2 draw (beta+ near
+    0, a likelihood grid of n = 16384): of seven fit endpoints read on both
+    periods, the one where the 3n period's alias error is largest."""
+
+    @pytest.fixture(scope="class")
+    def endpoint(self, spy_params):
+        y = sample_gts(spy_params, SampleConfig(n=3046, seed=2))
+        p, _, converged = fit(y, FitOptions(init=spy_params))
+        assert converged
+        return p, y
+
+    @pytest.fixture
+    def on_period(self, monkeypatch):
+        """The log-likelihood with the field path's real FFTs of pad * n
+        points; the deconvolution rows cached on any other period are
+        dropped before and after."""
+        frft_mod = importlib.import_module("gtsfit.frft")
+
+        def log_lik(pad, p, y):
+            monkeypatch.setattr(frft_mod, "_PAD", pad)
+            _kernel_deconvolution.cache_clear()
+            return log_likelihood(p, y)
+
+        yield log_lik
+        _kernel_deconvolution.cache_clear()
+
+    def test_log_likelihood_within_the_read_error(self, endpoint, on_period):
+        """Within 2e-10 of the 16n period, about the kernel read's own
+        error (1.0e-10 measured at N = 3n, 4.6e-11 at 4n); a period of two
+        windows misses that bound (5.6e-9)."""
+        p, y = endpoint
+        far = on_period(16, p, y)
+        assert abs(on_period(_PAD, p, y) - far) <= 2e-10
+        assert abs(on_period(2, p, y) - far) > 2e-10
 
 
 class TestSpectrumAcrossDomain:
@@ -239,10 +281,10 @@ def test_spectrum_build_peak_memory(spy_params):
     (6, J) float scratch array: the tail terms' real and imaginary parts and
     four work rows, which the phase's TwoSum then reuses. So the traced peak
     of the build is six float rows, 6 * 8 J bytes, plus a few small objects;
-    the bound allows half a row for those (6.0015 rows measured at
-    J = 133509). Written out of place, the same formulas hold a new array
+    the bound allows half a row for those (6.0009 rows measured at
+    J = 137681). Written out of place, the same formulas hold a new array
     per operation, complex ones in the last step, and peak at 11.1 rows."""
-    g = GridSpec(n=1 << 18, x_center=0.0, dx=1e-3, xi_max=800.0)
+    g = GridSpec(n=1 << 18, x_center=0.0, dx=1e-3, xi_max=1100.0)
     _, xi = _half_nodes(g)
     assert xi.size >= 1 << 17
     row = np.empty(xi.size, dtype=complex)
@@ -753,17 +795,19 @@ class TestKernelRead:
 
     def test_khat_matches_direct_quadrature(self):
         """1 / K-hat against adaptive quadrature of 2 int_0^6 K(s) cos(s
-        theta) ds, from theta = 0 to pi, within 1e-14 of K-hat(0)."""
+        theta) ds at theta_j = 2 pi j / (_PAD n), from theta = 0 to pi (j =
+        _PAD n / 2), within 1e-14 of K-hat(0)."""
         n = 4096
-        khat = 1.0 / _kernel_deconvolution(n, 2 * n + 1)
+        last = _PAD * n // 2
+        khat = 1.0 / _kernel_deconvolution(n, last + 1)
         beta = 2.30 * 12
 
         def integrand(s, theta):
             kernel = math.exp(beta * (math.sqrt(max(0.0, 1.0 - (s / 6.0) ** 2)) - 1.0))
             return kernel * math.cos(s * theta)
 
-        for j in (0, 1, 700, 2048, 4096, 6000, 8192):
-            theta = 2.0 * math.pi * j / (4 * n)
+        for j in (0, 1, 525, 1536, 3072, 4500, last):
+            theta = 2.0 * math.pi * j / (_PAD * n)
             half, _ = scipy.integrate.quad(
                 integrand, 0.0, 6.0, args=(theta,), epsabs=1e-14, epsrel=1e-13, limit=200
             )

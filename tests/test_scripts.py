@@ -1,6 +1,7 @@
 """The scripts run from a checkout, as their usage lines say."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,3 +45,14 @@ def test_fit_simulated_recovers_a_better_fit_than_the_truth():
     assert out[9].startswith("converged=True after ")
     fitted, truth = (float(s.split()[-1]) for s in out[10].split(":")[1].split(","))
     assert fitted > truth
+
+
+def test_fit_corpus_prints_one_line_per_selected_fit():
+    out = run_script("scripts/fit_corpus.py", "spy-3000-42").splitlines()
+    assert len(out) == 1
+    name, iterations, converged, log_ml, digest = out[0].split()
+    assert name == "spy-3000-42"
+    assert int(iterations.removeprefix("iterations=")) > 0
+    assert converged == "converged=True"
+    assert float(log_ml.removeprefix("log_ml=")) < 0.0
+    assert re.fullmatch(r"trace_sha256=[0-9a-f]{64}", digest)
