@@ -21,13 +21,28 @@ one-bit states 128 times with the same `_advance`, and kept as 256
 four-word columns (8 KB); J s is the XOR of the columns at the set bits of
 s. A call runs only as many lanes as its n needs.
 
-Each uniform u is mapped through the monotone-repaired CDF field: binary
-search over the node values brackets u in one grid cell, then two Newton
-steps from the linear guess, each clipped to the cell, solve F(x) = u on
-the cell's cubic (field reads' interpolant) in powers of the offset t. A
-point with no guess (a flat cell), a slope ending non-positive or a
-residual |F(x) - u| above 2^-50 is bisected on the cubic instead, so no
-residual exceeds 2^-50 unless the bisection's own does.
+Each uniform u is mapped through the monotone-repaired CDF field: a guide
+table (Chen and Asau 1974; Devroye 1986, III.2.4) finds the grid cell that
+brackets u, then two Newton steps from the linear guess, each clipped to
+the cell, solve F(x) = u on the cell's cubic (field reads' interpolant) in
+powers of the offset t. A point with no guess (a flat cell), a slope
+ending non-positive or a residual |F(x) - u| above 2^-50 is bisected on
+the cubic instead, so no residual exceeds 2^-50 unless the bisection's own
+does.
+
+The guide table cuts [0, 1) into n buckets [b/n, (b+1)/n), n the grid
+size, and holds for each b the number of node values f below b/n; the
+first bucket also takes every node below 0 and the last every node from
+(n-1)/n up. Built once per inversion, it is a search of n + 1 keys. A
+uniform u in bucket b = floor(u n) then has every node before guide[b]
+below b/n <= u and every node from guide[b + 1] at or above (b+1)/n > u,
+so its count of nodes below u, the index np.searchsorted(f, u, "left")
+gives, lies in [guide[b], guide[b + 1]]. That takes f nondecreasing
+(cdf_field's running maximum) and u n and b/n exact (n is a power of two).
+A bucket with no node gives the index at once, a bucket with one node
+after one comparison, and only the draws in buckets of several nodes, the
+far tails, where many cells share 1/n of probability, are searched. The
+index is the binary search's, bit for bit, for every u but nan.
 
 The inversion streams in blocks of _BLOCK = 8192 draws, so its
 temporaries stay cache-sized and its memory does not grow with the sample
@@ -138,9 +153,22 @@ def _jump(states: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(_jump_columns() * bits.reshape(-1, 1, 256), axis=2)
 
 
+def _whole(v, what: str) -> int:
+    """v as an int, or DomainError unless v is a whole number: an int, a
+    numpy integer or an integral float (a bool is none of these)."""
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return int(v)
+    if isinstance(v, (float, np.floating)) and math.isfinite(v) and v % 1 == 0:
+        return int(v)
+    raise DomainError(f"{what} must be a whole number, got {v!r}")
+
+
 def uniforms(seed: int, n: int) -> np.ndarray:
     """n deterministic uniforms in chunks of 65536, drawn in lanes of
-    _LANE steps (module docstring)."""
+    _LANE steps (module docstring). seed and n are whole numbers; seed is
+    taken mod 2^64."""
+    seed = _whole(seed, "seed")
+    n = _whole(n, "uniform count")
     if n < 0:
         raise DomainError(f"uniform count must be >= 0, got {n}")
     chunks = -(-n // _CHUNK)
@@ -185,6 +213,9 @@ class SampleConfig:
     seed: int
 
     def __post_init__(self):
+        # whole floats and numpy integers are kept as the ints they equal
+        object.__setattr__(self, "n", _whole(self.n, "sample count"))
+        object.__setattr__(self, "seed", _whole(self.seed, "seed"))
         if self.n < 1:
             raise DomainError("sample count must be >= 1")
 
@@ -219,17 +250,46 @@ def _bisect(c, u):
     return 0.5 * (lo + hi)
 
 
+def _guide(f: np.ndarray) -> np.ndarray:
+    """The guide table of nondecreasing node values f, n = f.size a power
+    of two: entry b < n counts the nodes below b/n, entry 0 is 0 and entry
+    n is n (module docstring)."""
+    n = f.size
+    guide = np.searchsorted(f, np.arange(n + 1) / n, side="left")
+    guide[0], guide[n] = 0, n
+    return guide
+
+
+def _search(f: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """np.searchsorted(f, u, side="left"), element for element, through
+    the guide table of f (module docstring)."""
+    n = f.size
+    b = np.clip(u * n, 0.0, n - 1).astype(np.intp)
+    i = guide[b]
+    w = guide[b + 1] - i
+    # a bucket's one node is counted when it lies below u; an empty bucket
+    # at the top (i = n) reads a node but adds nothing
+    i += (w == 1) & (f[np.minimum(i, n - 1)] < u)
+    many = np.flatnonzero(w > 1)
+    if many.size:
+        i[many] = np.searchsorted(f, u[many], side="left")
+    return i
+
+
 def _invert(field: Field, u: np.ndarray) -> np.ndarray:
     """Solve F(x) = u per point by Newton on the cell's cubic, bisecting
     where t is not finite, its slope not positive or the residual above
-    2^-50 (module docstring), one block of _BLOCK uniforms at a time."""
+    2^-50, one block of _BLOCK uniforms at a time. The cell is found
+    through the guide table, which takes the field's values nondecreasing
+    (module docstring)."""
     grid = field.grid
     f = field.values
+    guide = _guide(f)
     x_nodes = grid.x_nodes()
     out = np.empty(u.size)
     for s in range(0, u.size, _BLOCK):
         ub = u[s : s + _BLOCK]
-        cell = np.clip(np.searchsorted(f, ub, side="left") - 1, 2, grid.n - 4)
+        cell = np.clip(_search(f, guide, ub) - 1, 2, grid.n - 4)
         f0, f1, f2, f3 = f[cell - 1], f[cell], f[cell + 1], f[cell + 2]
         # interpolate()'s Lagrange weights at offset t, gathered by powers of t
         c = (f1, f2 - f0 / 3.0 - f1 / 2.0 - f3 / 6.0,

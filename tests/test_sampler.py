@@ -188,6 +188,28 @@ class TestUniforms:
         with pytest.raises(DomainError, match="count"):
             uniforms(1, -1)
 
+    @pytest.mark.parametrize("n", [5.5, float("nan"), float("inf"), "5", None, True])
+    def test_non_integral_count_is_domain_error(self, n):
+        with pytest.raises(DomainError, match="count"):
+            uniforms(1, n)
+
+    @pytest.mark.parametrize("seed", [1.5, float("nan"), -float("inf"), "1", None, False])
+    def test_non_integral_seed_is_domain_error(self, seed):
+        """1.5 does not draw seed 1's stream."""
+        with pytest.raises(DomainError, match="seed"):
+            uniforms(seed, 5)
+
+    def test_integral_floats_and_numpy_integers_are_taken(self):
+        ref = uniforms(7, 5)
+        for seed, n in [(7.0, 5.0), (np.int64(7), np.uint16(5)), (np.float32(7), np.int8(5))]:
+            assert np.array_equal(uniforms(seed, n), ref)
+
+    def test_seed_is_taken_mod_2_64(self):
+        assert np.array_equal(uniforms(-1, 5), uniforms(MASK, 5))
+        assert np.array_equal(uniforms(np.uint64(MASK), 5), uniforms(MASK, 5))
+        assert np.array_equal(uniforms(2**64 + 3, 5), uniforms(3, 5))
+        assert np.array_equal(uniforms(2.0**64, 5), uniforms(0, 5))
+
 
 class TestSampleGts:
     def test_deterministic_in_seed(self, spy_params):
@@ -218,6 +240,24 @@ class TestSampleGts:
     def test_config_validated(self):
         with pytest.raises(DomainError):
             SampleConfig(n=0, seed=1)
+
+    @pytest.mark.parametrize("n", [5.5, float("nan"), float("inf"), "5", None, True, 0.0])
+    def test_config_count_must_be_whole_and_positive(self, n):
+        with pytest.raises(DomainError, match="count"):
+            SampleConfig(n=n, seed=1)
+
+    @pytest.mark.parametrize("seed", [1.5, float("nan"), "1", None, np.bool_(True)])
+    def test_config_seed_must_be_whole(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            SampleConfig(n=5, seed=seed)
+
+    def test_config_keeps_whole_numbers_as_ints(self, spy_params):
+        cfg = SampleConfig(n=np.int32(5), seed=-3.0)
+        assert (cfg.n, cfg.seed) == (5, -3)
+        assert type(cfg.n) is int and type(cfg.seed) is int
+        assert cfg == SampleConfig(n=5, seed=-3)
+        assert np.array_equal(sample_gts(spy_params, SampleConfig(n=5.0, seed=-3.0)),
+                              sample_gts(spy_params, SampleConfig(n=5, seed=(-3) & MASK)))
 
     def test_draws_inside_grid_range(self, spy_params):
         x = sample_gts(spy_params, SampleConfig(n=5000, seed=44))
@@ -295,6 +335,81 @@ class TestInvert:
         finally:
             tracemalloc.stop()
         assert peak < 6e6
+
+
+@pytest.fixture(scope="module")
+def law_cdfs(spy_params, sp500_params, btc_params, btc_recentered_params):
+    laws = {"spy": spy_params, "sp500": sp500_params, "btc": btc_params,
+            "btc_recentered": btc_recentered_params}
+    return {name: _default_cdf(p) for name, p in laws.items()}
+
+
+def searched(f, u):
+    """sampler._search through f's guide table, with its branches counted:
+    draws in buckets of no node, of one node and of several."""
+    guide = sampler._guide(f)
+    w = np.diff(guide)[np.clip(u * f.size, 0, f.size - 1).astype(np.intp)]
+    return sampler._search(f, guide, u), np.bincount(np.minimum(w, 2), minlength=3)
+
+
+class TestGuideSearch:
+    """The guide table's index is np.searchsorted(f, u, side="left"),
+    element for element."""
+
+    @pytest.mark.parametrize("law", ["spy", "btc"])
+    def test_field_at_uniforms(self, law_cdfs, law):
+        f = law_cdfs[law].values
+        u = uniforms(5, 262144)
+        got, branches = searched(f, u)
+        assert np.array_equal(got, np.searchsorted(f, u, side="left"))
+        # every branch is taken: empty buckets in the body, one-node
+        # buckets and several-node buckets in the tails
+        assert np.all(branches > 0)
+
+    @pytest.mark.parametrize("law", ["spy", "btc"])
+    def test_nodes_edges_and_ends(self, law_cdfs, law):
+        """u = 0, u = 1 - 2^-53, every node value and the ulps either side
+        of it, and every bucket edge b/n and its neighbours; beyond [0, 1),
+        where no uniform lies, the index is still the binary search's."""
+        f = law_cdfs[law].values
+        n = f.size
+        edges = np.arange(n + 1) / n
+        u = np.concatenate([
+            [0.0, -0.0, 1.0 - 2.0**-53, 1.0, 2.0, -1e-300, -0.5, np.inf, -np.inf],
+            f, np.nextafter(f, -np.inf), np.nextafter(f, np.inf),
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        ])
+        got, _ = searched(f, u)
+        assert np.array_equal(got, np.searchsorted(f, u, side="left"))
+
+    @pytest.mark.parametrize("kind", ["flat", "short"])
+    def test_64_node_fields(self, kind):
+        """flat: the field of test_flat_and_falling_cells_are_bisected,
+        whose 21 nodes at 0 and 41 at 1 share one bucket each. short: a
+        field from -0.25 to 0.5, so the buckets above it are empty and
+        hold no node to compare."""
+        if kind == "flat":
+            f = np.zeros(64)
+            f[21], f[22], f[23:] = 0.5, 0.501, 1.0
+        else:
+            f = np.linspace(-0.25, 0.5, 64)
+        edges = np.arange(65) / 64
+        u = np.concatenate([[0.0, 0.25, 0.5001, 0.5005, 0.5009, 0.75, 1.0 - 2.0**-53, -0.5, 2.0],
+                            f, np.nextafter(f, -np.inf), np.nextafter(f, np.inf),
+                            edges, np.nextafter(edges, -np.inf), uniforms(9, 4096)])
+        got, branches = searched(f, u)
+        assert np.array_equal(got, np.searchsorted(f, u, side="left"))
+        assert branches[2] > 0
+
+    def test_invert_is_the_binary_search_inversion(self, law_cdfs, monkeypatch):
+        """_invert through the guide table gives the bits _invert gives
+        through np.searchsorted, on every bundled law."""
+        u = uniforms(1000004, 262144)
+        u[:2] = 0.0, 1.0 - 2.0**-53
+        got = {law: _invert(field, u) for law, field in law_cdfs.items()}
+        monkeypatch.setattr(sampler, "_search", lambda f, guide, u: np.searchsorted(f, u, side="left"))
+        for law, field in law_cdfs.items():
+            assert np.array_equal(got[law], _invert(field, u)), law
 
 
 def percent_17g(values):
